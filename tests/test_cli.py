@@ -3,6 +3,7 @@ import pytest
 from fgzeta.cli import format_matrix_document, main, parse_matrix_document
 from fgzeta.errors import ParseError
 from fgzeta.families import build_kontsevich, build_two_by_two
+from fgzeta.passage import WORK_LIMIT
 
 from conftest import random_matrix
 
@@ -167,6 +168,14 @@ class TestExitCodes:
                            "--order", "10", "--max-terms", "4")
         assert code == 3
         assert "resource limit" in err
+
+    def test_huge_order_is_refused_up_front(self, capsys):
+        code, out, err = run(capsys, "an", "--builtin", "paperdxd:8",
+                             "--order", "1000000")
+        assert code == 3
+        assert out == ""
+        assert "--order" in err and "1000000" in err
+        assert f"{WORK_LIMIT:.0e}" in err
 
     def test_insufficient_guess_order_is_2(self, capsys):
         code, _, err = run(capsys, "guess", "--builtin", "paper2x2",

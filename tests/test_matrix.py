@@ -5,8 +5,8 @@ import pytest
 from fgzeta.algebra import AlgebraElement, parse_element
 from fgzeta.errors import ResourceLimitError, ValidationError
 from fgzeta.families import build_two_by_two
-from fgzeta.matrix import (AlgebraMatrix, scalar_matrix, trace_count_by_paths,
-                           trace_counts)
+from fgzeta.matrix import (AlgebraMatrix, power_trace_counts, scalar_matrix,
+                           trace_count_by_paths, trace_counts)
 from fgzeta.words import GeneratorTable, free_reduce
 
 from conftest import random_matrix
@@ -107,7 +107,7 @@ class TestTraceCounts:
     def test_pruning_is_sound(self, rng):
         for _ in range(12):
             m = random_matrix(rng)
-            assert trace_counts(m, 6, prune=True) == trace_counts(
+            assert power_trace_counts(m, 6, prune=True) == power_trace_counts(
                 m, 6, prune=False)
 
 
