@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Benchmark the compiled convolution kernel against the pure-Python one.
 
-The workloads are the dominant real usage: iterated matrix powers with
-pruning.  Each workload runs under both backends (when the compiled one
-is available) by swapping the dispatcher's function, and the outputs are
-compared to be identical before timings are reported.
+The workloads are iterated matrix powers with pruning, run through
+:func:`fgzeta.matrix.power_trace_counts`, the oracle that calls the
+kernel (the default first-passage engine does not).  Each workload runs
+under both backends (when the compiled one is available) by swapping the
+dispatcher's function, and the outputs are compared to be identical
+before timings are reported.
 
 Usage: python benchmarks/bench_kernel.py [--repeat K]
 """
@@ -14,16 +16,17 @@ import time
 
 from fgzeta import _kernel
 from fgzeta.families import build_d_by_d, build_two_by_two
-from fgzeta.matrix import trace_counts
+from fgzeta.matrix import power_trace_counts
 
 
 def workloads():
+    counts = power_trace_counts
     return [
-        ("paper2x2 counts N=28", lambda: trace_counts(build_two_by_two(), 28)),
+        ("paper2x2 counts N=28", lambda: counts(build_two_by_two(), 28)),
         ("paper2x2 counts N=16, no pruning",
-         lambda: trace_counts(build_two_by_two(), 16, prune=False)),
-        ("paperdxd:3 counts N=18", lambda: trace_counts(build_d_by_d(3), 18)),
-        ("paperdxd:4 counts N=14", lambda: trace_counts(build_d_by_d(4), 14)),
+         lambda: counts(build_two_by_two(), 16, prune=False)),
+        ("paperdxd:3 counts N=18", lambda: counts(build_d_by_d(3), 18)),
+        ("paperdxd:4 counts N=14", lambda: counts(build_d_by_d(4), 14)),
     ]
 
 

@@ -22,9 +22,8 @@ from .grammars import (ProperSystem, TruncatedNCSeries, is_lukasiewicz_word,
                        parse_system, solve_truncated)
 from .guess import (BivariatePolynomial, evaluate_at_series, exact_kernel,
                     format_bivariate, guess_annihilator, parse_bivariate)
-from .matrix import (AlgebraMatrix, power_trace_counts, scalar_matrix,
-                     trace_count_by_paths, trace_counts)
-from .passage import FirstPassageSystem
+from .matrix import (AlgebraMatrix, scalar_matrix, trace_count_by_paths,
+                     trace_counts)
 from .series import (TruncatedSeries, format_series, generating_series,
                      log_derivative, zeta_series)
 from .words import (GeneratorTable, concat, format_word, invert, parse_word,
@@ -37,7 +36,6 @@ __all__ = [
     "AlgebraMatrix",
     "BivariatePolynomial",
     "FgzetaError",
-    "FirstPassageSystem",
     "GeneratorTable",
     "KERNEL_BACKEND",
     "Letter",
@@ -76,7 +74,6 @@ __all__ = [
     "parse_element",
     "parse_system",
     "parse_word",
-    "power_trace_counts",
     "reduce_word",
     "rooted_loop_series",
     "scalar_matrix",
