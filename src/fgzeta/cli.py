@@ -21,7 +21,7 @@ from .cyclic import alphabet_of, cycle_weight, cycle_weight_sum, euler_product
 from .errors import ParseError, ResourceLimitError, ValidationError
 from .families import builtin_matrix
 from .guess import (evaluate_at_series, format_bivariate, guess_annihilator,
-                    parse_bivariate)
+                    parse_bivariate, required_order)
 from .matrix import (DEFAULT_PATH_BOUND, DEFAULT_TERM_LIMIT, AlgebraMatrix,
                      power_trace_counts, trace_count_by_paths, trace_counts)
 from .series import TruncatedSeries, format_series, generating_series, zeta_series
@@ -45,6 +45,10 @@ class RunConfig:
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive")
 
+
+# Largest matrix document dimension; the parser allocates dim^2 entries
+# before it reads any of them.
+MAX_DIMENSION = 500
 
 _ASSIGN_RE = re.compile(r"\[\s*(\d+)\s*,\s*(\d+)\s*\]\s*=\s*(.*)$")
 _DIM_RE = re.compile(r"dim\s+(\d+)\s*$")
@@ -71,6 +75,10 @@ def parse_matrix_document(text: str) -> AlgebraMatrix:
             dim = int(m.group(1))
             if dim < 1:
                 raise ParseError("dimension must be >= 1", line=ln)
+            if dim > MAX_DIMENSION:
+                raise ResourceLimitError(
+                    f"line {ln}: dimension {dim} exceeds the limit "
+                    f"MAX_DIMENSION = {MAX_DIMENSION}")
             entries = [[AlgebraElement.zero() for _ in range(dim)]
                        for _ in range(dim)]
             continue
@@ -90,6 +98,8 @@ def parse_matrix_document(text: str) -> AlgebraMatrix:
             entries[i - 1][j - 1] = parse_element(m.group(3), table)
         except ParseError as exc:
             raise ParseError(str(exc), line=ln) from None
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(f"line {ln}: {exc}") from None
     if dim is None:
         raise ParseError("empty matrix document")
     return AlgebraMatrix(entries, table)
@@ -192,15 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact zeta series of matrices over free group algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_matrix_options(p):
+    def add_matrix_options(p, default_order="10"):
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--matrix", metavar="FILE",
                          help="matrix document ('-' reads stdin)")
         src.add_argument("--builtin", metavar="NAME",
                          help="built-in matrix: kontsevich:<n>, paper2x2, "
                               "paperdxd:<d>")
-        p.add_argument("--order", type=int, default=10,
-                       help="truncation order N (default 10)")
+        p.add_argument("--order", type=int,
+                       help=f"truncation order N (default {default_order})")
         p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_LIMIT,
                        help="ceiling on the stored series terms of the "
                             "count engine")
@@ -222,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_guess = sub.add_parser(
         "guess", help="search for an annihilating polynomial")
-    add_matrix_options(p_guess)
+    add_matrix_options(p_guess, default_order="(degt+1)(degy+1)+8")
     p_guess.add_argument("--target", choices=("p", "g"), default="p",
                          help="annihilate the zeta (p) or generating (g) series")
     p_guess.add_argument("--degt", type=int, default=8,
@@ -245,13 +255,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _config_from(args) -> RunConfig:
     config = RunConfig()
     if hasattr(args, "order"):
-        config.order = args.order
+        if args.order is not None:
+            config.order = args.order
         config.max_terms = args.max_terms
     if getattr(args, "length", None) is not None:
         config.length = args.length
     if hasattr(args, "degt"):
         config.deg_t = args.degt
         config.deg_y = args.degy
+        if args.order is None:
+            config.order = required_order(args.degt, args.degy)
     config.validate()
     return config
 
@@ -427,6 +440,7 @@ def cmd_selfcheck(args, config: RunConfig) -> int:
 
 
 __all__ = [
+    "MAX_DIMENSION",
     "RunConfig",
     "build_parser",
     "format_matrix_document",

@@ -78,44 +78,73 @@ def cycle_weight(m: AlgebraMatrix, letters) -> int:
     return weight
 
 
-def cycle_weight_sum(m: AlgebraMatrix, length: int,
-                     node_bound: int = DEFAULT_NODE_BOUND) -> int:
-    """Total weight over all letter sequences of the given length.
+def _closed_chains(m: AlgebraMatrix, max_length: int, node_bound: int,
+                   lyndon: bool) -> list[tuple[tuple[int, ...], int]]:
+    """Closed letter chains of length 1..max_length with their weights.
 
-    Only index-chained sequences can weigh anything, so the enumeration
-    walks the transition graph; the running group product prunes branches
-    that can no longer cancel to the identity.
+    A chain is a tuple of indices into ``alphabet_of(m)``; it is closed
+    when each letter's column is the next letter's row, the last letter's
+    column is the first letter's row, and the group product of the words
+    is the identity.  Only index-chained sequences can weigh anything, so
+    one depth-first walk of the transition graph from each row finds them
+    all; the running group product prunes branches that can no longer
+    cancel to the identity within max_length letters.  With ``lyndon``,
+    only Lyndon chains are kept, and branches that cannot be a prefix of
+    one are pruned: every prefix of a Lyndon word is a prenecklace, and a
+    prenecklace with period ``p`` extends by a letter ``x`` exactly when
+    ``x >= chain[-p]`` (Fredricksen-Kessler-Maiorana).
     """
-    if length < 1:
-        raise ValidationError("length must be >= 1")
     alphabet = alphabet_of(m)
     l_max = max((len(a.word) for a in alphabet), default=0)
-    by_row: dict[int, list[Letter]] = {}
-    for letter in alphabet:
-        by_row.setdefault(letter.row, []).append(letter)
+    by_row: dict[int, list[tuple[int, int, Word, int]]] = {}
+    for idx, letter in enumerate(alphabet):
+        c = m.entries[letter.row - 1][letter.col - 1].terms[letter.word]
+        by_row.setdefault(letter.row, []).append((idx, letter.col, letter.word, c))
     visited = 0
-    total = 0
+    chains: list[tuple[tuple[int, ...], int]] = []
+    chain: list[int] = []
 
-    def extend(start_row: int, row: int, depth: int, product: Word, coeff: int):
-        nonlocal visited, total
+    def extend(start_row: int, row: int, product: Word, coeff: int,
+               period: int):
+        nonlocal visited
         visited += 1
         if visited > node_bound:
             raise ResourceLimitError(
-                f"enumeration bound {node_bound} exceeded at length {length}")
-        if depth == length:
-            if row == start_row and product == ():
-                total += coeff
+                f"enumeration bound {node_bound} exceeded at length {max_length}")
+        depth = len(chain)
+        if depth and row == start_row and not product and (
+                not lyndon or period == depth):
+            chains.append((tuple(chain), coeff))
+        if depth == max_length:
             return
-        for letter in by_row.get(row, ()):
-            next_product = concat(product, letter.word)
-            if len(next_product) > (length - depth - 1) * l_max:
+        budget = (max_length - depth - 1) * l_max
+        for idx, col, word, c in by_row.get(row, ()):
+            next_period = depth + 1
+            if lyndon and depth:
+                back = chain[depth - period]
+                if idx < back:
+                    continue
+                if idx == back:
+                    next_period = period
+            next_product = concat(product, word)
+            if len(next_product) > budget:
                 continue
-            c = m.entries[letter.row - 1][letter.col - 1].terms[letter.word]
-            extend(start_row, letter.col, depth + 1, next_product, coeff * c)
+            chain.append(idx)
+            extend(start_row, col, next_product, coeff * c, next_period)
+            chain.pop()
 
     for start_row in range(1, m.dim + 1):
-        extend(start_row, start_row, 0, (), 1)
-    return total
+        extend(start_row, start_row, (), 1, 0)
+    return chains
+
+
+def cycle_weight_sum(m: AlgebraMatrix, length: int,
+                     node_bound: int = DEFAULT_NODE_BOUND) -> int:
+    """Total weight over all letter sequences of the given length."""
+    if length < 1:
+        raise ValidationError("length must be >= 1")
+    return sum(coeff for chain, coeff in _closed_chains(m, length, node_bound, False)
+               if len(chain) == length)
 
 
 def lyndon_words(alphabet, max_length: int) -> list[tuple]:
@@ -146,72 +175,26 @@ def lyndon_words(alphabet, max_length: int) -> list[tuple]:
     return [tuple(alphabet[i] for i in w) for w in out]
 
 
-def _is_minimal_rotation(word: tuple[int, ...]) -> bool:
-    n = len(word)
-    doubled = word + word
-    for shift in range(1, n):
-        if doubled[shift: shift + n] <= word:
-            return False
-    return True
-
-
 def euler_product(m: AlgebraMatrix, max_length: int,
                   node_bound: int = DEFAULT_NODE_BOUND) -> TruncatedSeries:
     """Product of 1/(1 - weight(l) t^|l|) over Lyndon words l, |l| <= L.
 
     Letters that do not chain have weight zero and contribute a factor 1,
-    so the enumeration is restricted to closed chains in the transition
-    graph; factors multiply in increasing (length, lexicographic) order
-    for reproducibility.
+    so only closed Lyndon chains are enumerated.  Weights are integers,
+    so each factor is one integer update of the coefficient list:
+    multiplying by 1/(1 - w t^l) = 1 + w t^l + w^2 t^2l + ... sends
+    out[k] to out[k] + w * out[k - l], in increasing k.  Factors apply in
+    increasing (length, lexicographic) order.
     """
     if max_length < 1:
         raise ValidationError("max_length must be >= 1")
-    alphabet = alphabet_of(m)
-    l_max = max((len(a.word) for a in alphabet), default=0)
-    by_row: dict[int, list[tuple[int, Letter]]] = {}
-    for idx, letter in enumerate(alphabet):
-        by_row.setdefault(letter.row, []).append((idx, letter))
-    visited = 0
-    factors: list[tuple[tuple[int, ...], int]] = []
-
-    def extend(chain: list[int], row: int, product: Word, coeff: int,
-               start_row: int, length: int):
-        nonlocal visited
-        visited += 1
-        if visited > node_bound:
-            raise ResourceLimitError(
-                f"enumeration bound {node_bound} exceeded at length {max_length}")
-        depth = len(chain)
-        if depth == length:
-            if row == start_row and product == ():
-                word = tuple(chain)
-                if _is_minimal_rotation(word):
-                    factors.append((word, coeff))
-            return
-        for idx, letter in by_row.get(row, ()):
-            if chain and idx < chain[0]:
-                # some rotation would start with a smaller letter; not Lyndon
-                continue
-            next_product = concat(product, letter.word)
-            if len(next_product) > (length - depth - 1) * l_max:
-                continue
-            c = m.entries[letter.row - 1][letter.col - 1].terms[letter.word]
-            chain.append(idx)
-            extend(chain, letter.col, next_product, coeff * c,
-                   start_row, length)
-            chain.pop()
-
-    for length in range(1, max_length + 1):
-        for start_row in range(1, m.dim + 1):
-            extend([], start_row, (), 1, start_row, length)
-
+    factors = _closed_chains(m, max_length, node_bound, True)
     factors.sort(key=lambda item: (len(item[0]), item[0]))
-    result = TruncatedSeries.one(max_length)
+    out = [1] + [0] * max_length
     for word, weight in factors:
-        factor = TruncatedSeries.one(max_length) - TruncatedSeries.monomial(
-            weight, len(word), max_length)
-        result = result / factor
-    return result
+        for k in range(len(word), max_length + 1):
+            out[k] += weight * out[k - len(word)]
+    return TruncatedSeries(out, max_length)
 
 
 __all__ = [

@@ -15,6 +15,10 @@ from fractions import Fraction
 from .errors import ParseError, ValidationError
 from .series import TruncatedSeries
 
+# A prime.  Ranks taken modulo it screen candidate degree pairs in
+# guess_annihilator before any exact kernel is computed.
+MODULUS = 2 ** 61 - 1
+
 
 class BivariatePolynomial:
     """Integer polynomial in t and y, stored as {(t_degree, y_degree): coeff}."""
@@ -214,6 +218,15 @@ def _primitive(vector: list[Fraction]) -> list[int]:
     return ints
 
 
+def required_order(deg_t: int, deg_y: int) -> int:
+    """Smallest series order guess_annihilator accepts for these bounds.
+
+    The largest candidate system has (deg_t+1)(deg_y+1) unknowns; eight
+    more equations than unknowns make an accidental kernel unlikely.
+    """
+    return (deg_t + 1) * (deg_y + 1) + 8
+
+
 def guess_annihilator(f: TruncatedSeries, deg_t: int,
                       deg_y: int) -> BivariatePolynomial | None:
     """Smallest annihilator of f within the degree bounds, or None.
@@ -222,15 +235,24 @@ def guess_annihilator(f: TruncatedSeries, deg_t: int,
     and returns the first normalized kernel element that kills f through
     its full truncation order.  The order must comfortably overdetermine
     the largest candidate system, hence the guard below.
+
+    Pairs whose system has full column rank modulo MODULUS are skipped
+    without an exact kernel.  That is sound: a nonzero rational kernel
+    vector scales to a primitive integer one, which stays a nonzero
+    kernel vector modulo any prime, so the rank modulo a prime is at most
+    the rank over Q.  When a denominator of f is divisible by MODULUS,
+    f has no image modulo it and every pair gets an exact kernel.
     """
-    required = (deg_t + 1) * (deg_y + 1) + 8
+    required = required_order(deg_t, deg_y)
     if f.order < required:
         raise ValidationError(
             f"series order {f.order} is too small for bounds "
             f"(deg_t={deg_t}, deg_y={deg_y}); need order >= {required}")
     powers = _series_powers(f, deg_y)
+    powers_mod = _powers_mod_p(f, deg_y)
     for dy in range(deg_y + 1):
-        for dt in range(deg_t + 1):
+        first = 0 if powers_mod is None else _first_dependent_dt(powers_mod, dy, deg_t)
+        for dt in range(first, deg_t + 1):
             raw = _kernel_candidate(f, powers, dt, dy)
             if raw is None:
                 continue
@@ -243,6 +265,51 @@ def guess_annihilator(f: TruncatedSeries, deg_t: int,
             if evaluate_at_series(fallback, f).is_zero():
                 return fallback
     return None
+
+
+def _powers_mod_p(f: TruncatedSeries, top: int) -> list[list[int]] | None:
+    """f^0 .. f^top modulo MODULUS, or None if f has no image modulo it."""
+    if any(c.denominator % MODULUS == 0 for c in f.coeffs):
+        return None
+    n = f.order
+    image = [c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
+             for c in f.coeffs]
+    powers = [[1] + [0] * n]
+    for _ in range(top):
+        last = powers[-1]
+        out = [0] * (n + 1)
+        for i, a in enumerate(last):
+            if a:
+                for j in range(n + 1 - i):
+                    out[i + j] += a * image[j]
+        powers.append([x % MODULUS for x in out])
+    return powers
+
+
+def _first_dependent_dt(powers: list[list[int]], dy: int, deg_t: int) -> int:
+    """Smallest dt <= deg_t whose columns t^i f^j (i <= dt, j <= dy) are
+    linearly dependent modulo MODULUS, or deg_t + 1 if there is none.
+
+    The columns of dt contain those of dt - 1, so one echelon basis grows
+    as dt does; each basis vector is stored from its pivot on, scaled so
+    that the pivot entry is 1.
+    """
+    n = len(powers[0])
+    basis: list[tuple[int, list[int]]] = []
+    for dt in range(deg_t + 1):
+        for j in range(dy + 1):
+            v = [0] * dt + powers[j][:n - dt]
+            for pivot, tail in basis:
+                c = v[pivot]
+                if c:
+                    v[pivot:] = [(a - c * b) % MODULUS
+                                 for a, b in zip(v[pivot:], tail)]
+            pivot = next((k for k, a in enumerate(v) if a), None)
+            if pivot is None:
+                return dt
+            scale = pow(v[pivot], -1, MODULUS)
+            basis.append((pivot, [a * scale % MODULUS for a in v[pivot:]]))
+    return deg_t + 1
 
 
 def _kernel_candidate(f, powers, dt, dy):
@@ -281,4 +348,5 @@ __all__ = [
     "format_bivariate",
     "guess_annihilator",
     "parse_bivariate",
+    "required_order",
 ]

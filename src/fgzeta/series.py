@@ -236,8 +236,28 @@ def generating_series(counts) -> TruncatedSeries:
 
 
 def zeta_series(counts) -> TruncatedSeries:
-    """exp(sum a_n t^n / n); satisfies t*z'/z = sum a_n t^n exactly."""
+    """exp(sum a_n t^n / n); satisfies t*z'/z = sum a_n t^n exactly.
+
+    For integer counts, t*P' = g*P gives n*P_n = sum_{k=1..n} a_k P_{n-k},
+    which stays in the integers while every division by n is exact (always,
+    for the counts of an integer matrix).  The first inexact division falls
+    back to exp over the rationals.
+    """
     counts = list(counts)
+    if all(type(c) is int for c in counts):
+        nonzero = [(k, c) for k, c in enumerate(counts, start=1) if c]
+        out = [1] + [0] * len(counts)
+        for n in range(1, len(counts) + 1):
+            acc = 0
+            for k, c in nonzero:
+                if k > n:
+                    break
+                acc += c * out[n - k]
+            out[n], rest = divmod(acc, n)
+            if rest:
+                break
+        else:
+            return TruncatedSeries(out, len(counts))
     arg = TruncatedSeries([Fraction(0)] + [Fraction(c, n + 1)
                                            for n, c in enumerate(counts)],
                           len(counts))

@@ -12,7 +12,7 @@ names, only signed ids.
 
 import re
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ResourceLimitError, ValidationError
 
 Word = tuple[int, ...]
 
@@ -151,13 +151,19 @@ def _format_run(letter: int, count: int, table: GeneratorTable) -> str:
 
 _EXP_RE = re.compile(r"\^(-?\d+)$")
 
+# Most letters one word of display syntax may spell before reduction;
+# parse_word checks it before expanding a caret power.
+MAX_WORD_LENGTH = 10_000
+_MAX_EXPONENT_DIGITS = len(str(MAX_WORD_LENGTH))
+
 
 def parse_word(text: str, table: GeneratorTable, declare: bool = True) -> Word:
     """Parse the display syntax back into a reduced word.
 
     Round trip guarantee: ``parse_word(format_word(w, t), t) == w``.
     Unknown names are registered when ``declare`` is true, otherwise
-    rejected.
+    rejected.  A word that spells more than MAX_WORD_LENGTH letters raises
+    ResourceLimitError.
     """
     text = text.strip()
     if text == "1":
@@ -168,6 +174,9 @@ def parse_word(text: str, table: GeneratorTable, declare: bool = True) -> Word:
         m = _EXP_RE.search(token)
         name = token
         if m:
+            digits = m.group(1).lstrip("-0")
+            if len(digits) > _MAX_EXPONENT_DIGITS:
+                _too_long(token)
             exponent = int(m.group(1))
             name = token[: m.start()]
         if not _NAME_RE.match(name):
@@ -176,5 +185,13 @@ def parse_word(text: str, table: GeneratorTable, declare: bool = True) -> Word:
             raise ParseError(f"zero exponent in {token!r}")
         gid = table.declare(name) if declare else table.id_of(name)
         letter = gid if exponent > 0 else -gid
+        if len(letters) + abs(exponent) > MAX_WORD_LENGTH:
+            _too_long(token)
         letters.extend([letter] * abs(exponent))
     return free_reduce(letters)
+
+
+def _too_long(token: str):
+    raise ResourceLimitError(
+        f"word spells more than MAX_WORD_LENGTH = {MAX_WORD_LENGTH} letters "
+        f"at {token[:40]!r}")

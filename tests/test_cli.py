@@ -1,9 +1,11 @@
 import pytest
 
-from fgzeta.cli import format_matrix_document, main, parse_matrix_document
+from fgzeta.cli import (MAX_DIMENSION, format_matrix_document, main,
+                        parse_matrix_document)
 from fgzeta.errors import ParseError
 from fgzeta.families import build_kontsevich, build_two_by_two
 from fgzeta.passage import WORK_LIMIT
+from fgzeta.words import MAX_WORD_LENGTH
 
 from conftest import random_matrix
 
@@ -113,6 +115,13 @@ class TestSubcommands:
         assert code == 0
         assert out.strip() == "none"
 
+    def test_guess_with_default_flags(self, capsys):
+        # no --order: (degt+1)(degy+1)+8 = 44 for the default bounds 8 and 3
+        code, out, err = run(capsys, "guess", "--builtin", "paper2x2")
+        assert (code, err) == (0, "")
+        assert out == ("-1 * t^0 * y^0 + 9 * t^2 * y^0 + 1 * t^0 * y^1 + "
+                       "-12 * t^2 * y^1 + 24 * t^4 * y^1 + 16 * t^6 * y^2\n")
+
     def test_verify_accepts_true_certificate(self, capsys):
         poly = ("-1 * t^0 * y^0 + 9 * t^2 * y^0 + 1 * t^0 * y^1 + "
                 "-12 * t^2 * y^1 + 24 * t^4 * y^1 + 16 * t^6 * y^2")
@@ -176,6 +185,26 @@ class TestExitCodes:
         assert out == ""
         assert "--order" in err and "1000000" in err
         assert f"{WORK_LIMIT:.0e}" in err
+
+    @pytest.mark.parametrize("word", ["a^300000000", "a^" + "9" * 5000,
+                                      "a^6000 b a^6000"])
+    def test_overlong_word_is_refused_before_expansion(self, capsys, tmp_path,
+                                                       word):
+        doc = tmp_path / "m.txt"
+        doc.write_text(f"dim 1\n[1,1] = {word}\n")
+        code, out, err = run(capsys, "an", "--matrix", str(doc))
+        assert code == 3
+        assert out == ""
+        assert "line 2" in err and f"MAX_WORD_LENGTH = {MAX_WORD_LENGTH}" in err
+
+    def test_oversized_dimension_is_refused_before_allocation(self, capsys,
+                                                              tmp_path):
+        doc = tmp_path / "m.txt"
+        doc.write_text("dim 3000\n[1,1] = a\n")
+        code, out, err = run(capsys, "an", "--matrix", str(doc))
+        assert code == 3
+        assert out == ""
+        assert "3000" in err and f"MAX_DIMENSION = {MAX_DIMENSION}" in err
 
     def test_insufficient_guess_order_is_2(self, capsys):
         code, _, err = run(capsys, "guess", "--builtin", "paper2x2",

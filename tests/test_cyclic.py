@@ -2,10 +2,11 @@ from itertools import product
 
 import pytest
 
-from fgzeta.cyclic import (Letter, alphabet_of, cycle_weight,
-                           cycle_weight_sum, euler_product, lyndon_words)
+from fgzeta.cyclic import (DEFAULT_NODE_BOUND, Letter, _closed_chains,
+                           alphabet_of, cycle_weight, cycle_weight_sum,
+                           euler_product, lyndon_words)
 from fgzeta.errors import ResourceLimitError, ValidationError
-from fgzeta.families import build_two_by_two
+from fgzeta.families import build_two_by_two, builtin_matrix
 from fgzeta.matrix import AlgebraMatrix, trace_counts
 from fgzeta.series import TruncatedSeries, zeta_series
 from fgzeta.algebra import parse_element
@@ -223,3 +224,42 @@ class TestEulerProduct:
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
             euler_product(build_two_by_two(), 6, node_bound=10)
+
+    def test_matches_rational_division_over_all_lyndon_words(self, rng):
+        # oracle: Duval's Lyndon words and cycle_weight, not the pruned
+        # walk, with one exact series division per nonzero factor
+        for _ in range(20):
+            m = random_matrix(rng)
+            alphabet = alphabet_of(m)
+            if not alphabet:
+                continue
+            length = max(n for n in range(1, 7) if len(alphabet) ** n <= 50_000)
+            oracle = TruncatedSeries.one(length)
+            for word in lyndon_words(alphabet, length):
+                weight = cycle_weight(m, word)
+                if weight:
+                    oracle = oracle / (TruncatedSeries.one(length)
+                                       - TruncatedSeries.monomial(weight, len(word), length))
+            assert euler_product(m, length) == oracle
+
+
+class TestLyndonFactorCounts:
+    """With unit coefficients every Lyndon factor weighs 1, so the number
+    of factors of length n is (1/n) sum_{l | n} mu(n/l) a_l."""
+
+    @pytest.mark.parametrize("name, length", [
+        ("paper2x2", 12), ("kontsevich:1", 14), ("kontsevich:2", 10),
+        ("paperdxd:3", 8)])
+    def test_counts_from_trace_counts(self, name, length):
+        m = builtin_matrix(name)
+        chains = _closed_chains(m, length, DEFAULT_NODE_BOUND, True)
+        assert all(weight == 1 for _, weight in chains)
+        counts = trace_counts(m, length)
+        for n in range(1, length + 1):
+            expected = sum(moebius(n // l) * counts[l - 1]
+                           for l in range(1, n + 1) if n % l == 0)
+            assert sum(1 for chain, _ in chains if len(chain) == n) * n == expected
+
+    def test_two_by_two_total(self):
+        chains = _closed_chains(build_two_by_two(), 12, DEFAULT_NODE_BOUND, True)
+        assert len(chains) == 4831

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from fgzeta import guess
 from fgzeta.errors import ParseError, ValidationError
-from fgzeta.families import closed_zeta, rooted_loop_series
-from fgzeta.guess import (BivariatePolynomial, evaluate_at_series,
+from fgzeta.families import (closed_generating_series, closed_zeta,
+                             rooted_loop_series)
+from fgzeta.guess import (MODULUS, BivariatePolynomial, evaluate_at_series,
                           exact_kernel, format_bivariate, guess_annihilator,
                           parse_bivariate)
 from fgzeta.series import TruncatedSeries
@@ -159,6 +161,75 @@ class TestGuess:
         f = geometric(10)
         with pytest.raises(ValidationError, match="need order >= 20"):
             guess_annihilator(f, 3, 2)
+
+
+# every (series, deg_t, deg_y) that TestGuess passes to guess_annihilator
+GUESS_CASES = [
+    (geometric(20), 1, 1),
+    (rooted_loop_series(2, 20), 2, 2),
+    (closed_zeta("paper2x2", 32), 6, 2),
+    (closed_zeta("kontsevich:2", 30), 4, 2),
+    (geometric(24), 2, 2),
+    (rooted_loop_series(3, 24), 2, 2),
+    (closed_zeta("kontsevich:1", 24), 2, 2),
+    *[(make(n), *bounds) for n in (40, 64) for make, bounds in [
+        (lambda n: rooted_loop_series(2, n), (2, 2)),
+        (lambda n: closed_zeta("paper2x2", n), (6, 2)),
+        (lambda n: closed_zeta("kontsevich:1", n), (2, 2)),
+        (lambda n: closed_zeta("kontsevich:2", n), (4, 2)),
+        (lambda n: closed_generating_series("paperdxd:3", n), (4, 2)),
+        (geometric, (1, 1)),
+    ]],
+    (rooted_loop_series(2, 24), 2, 2),
+    (TruncatedSeries.monomial(1, 1, 40).exp(), 4, 4),
+]
+
+
+def count_exact_kernels(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows[0]))
+        return exact_kernel(rows)
+
+    monkeypatch.setattr(guess, "exact_kernel", counted)
+    return calls
+
+
+class TestModularScreen:
+    @pytest.mark.parametrize("f, deg_t, deg_y", GUESS_CASES)
+    def test_screened_scan_matches_unscreened(self, monkeypatch, f, deg_t, deg_y):
+        screened = guess_annihilator(f, deg_t, deg_y)
+        monkeypatch.setattr(guess, "_powers_mod_p", lambda f, top: None)
+        assert guess_annihilator(f, deg_t, deg_y) == screened
+
+    @pytest.mark.parametrize("f, deg_t, deg_y", GUESS_CASES)
+    def test_skipped_pairs_have_no_exact_kernel(self, f, deg_t, deg_y):
+        powers = guess._series_powers(f, deg_y)
+        powers_mod = guess._powers_mod_p(f, deg_y)
+        for dy in range(deg_y + 1):
+            first = guess._first_dependent_dt(powers_mod, dy, deg_t)
+            for dt in range(min(first, deg_t + 1)):
+                assert guess._kernel_candidate(f, powers, dt, dy) is None
+            if first <= deg_t:
+                assert guess._kernel_candidate(f, powers, first, dy) is not None
+
+    def test_no_exact_kernel_when_every_pair_has_full_rank(self, monkeypatch):
+        calls = count_exact_kernels(monkeypatch)
+        assert guess_annihilator(TruncatedSeries.monomial(1, 1, 40).exp(), 4, 4) is None
+        assert calls == []
+
+    def test_denominator_divisible_by_the_modulus_turns_the_screen_off(
+            self, monkeypatch):
+        # f = 1/(1 - t/p) has denominators p^k, so it has no image mod p
+        f = TruncatedSeries([Fraction(1, MODULUS ** k) for k in range(13)], 12)
+        assert guess._powers_mod_p(f, 1) is None
+        calls = count_exact_kernels(monkeypatch)
+        p = guess_annihilator(f, 1, 1)
+        assert p == BivariatePolynomial({(1, 1): 1, (0, 1): -MODULUS,
+                                         (0, 0): MODULUS})
+        # every pair up to the hit: (0,0), (1,0), (0,1), (1,1)
+        assert calls == [1, 2, 2, 4]
 
 
 class TestNormalization:

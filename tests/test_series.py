@@ -170,6 +170,28 @@ class TestCountsBridge:
         assert z == TruncatedSeries.monomial(1, 1, 3).exp()
         assert not z.is_integral()
 
+    def test_integer_recurrence_matches_exp(self, rng):
+        # a_n = sum_{d | n} d b_d makes P = prod_d (1 - t^d)^(-b_d), which is
+        # integral; unconstrained counts mostly take the rational fallback
+        integral = fallback = 0
+        for _ in range(40):
+            n = rng.randint(1, 24)
+            if rng.random() < 0.5:
+                b = [rng.randint(-3, 3) for _ in range(n)]
+                counts = [sum(d * b[d - 1] for d in range(1, k + 1) if k % d == 0)
+                          for k in range(1, n + 1)]
+            else:
+                counts = [rng.randint(-9, 9) for _ in range(n)]
+            z = zeta_series(counts)
+            oracle = TruncatedSeries([0] + [Fraction(c, k) for k, c in
+                                            enumerate(counts, start=1)], n).exp()
+            assert z == oracle
+            if z.is_integral():
+                integral += 1
+            else:
+                fallback += 1
+        assert integral >= 10 and fallback >= 10
+
     def test_log_derivative_identity(self, rng):
         for _ in range(25):
             counts = [rng.randint(-6, 6) for _ in range(rng.randint(1, 9))]
