@@ -13,7 +13,6 @@ import argparse
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraElement, format_element, parse_element
@@ -28,16 +27,18 @@ from .series import TruncatedSeries, format_series, generating_series, zeta_seri
 from .words import GeneratorTable, free_reduce, concat, invert
 
 
-@dataclass
 class RunConfig:
     """Documented defaults for every knob the subcommands share."""
 
-    order: int = 10
-    length: int = 6
-    deg_t: int = 8
-    deg_y: int = 3
-    max_terms: int = DEFAULT_TERM_LIMIT
-    path_bound: int = DEFAULT_PATH_BOUND
+    def __init__(self, order: int = 10, length: int = 6, deg_t: int = 8,
+                 deg_y: int = 3, max_terms: int = DEFAULT_TERM_LIMIT,
+                 path_bound: int = DEFAULT_PATH_BOUND):
+        self.order = order
+        self.length = length
+        self.deg_t = deg_t
+        self.deg_y = deg_y
+        self.max_terms = max_terms
+        self.path_bound = path_bound
 
     def validate(self):
         for name in ("order", "length", "deg_t", "deg_y", "max_terms",

@@ -9,7 +9,6 @@ of words of length <= k are final after k rounds.
 """
 
 import re
-from dataclasses import dataclass, field
 
 from .errors import ParseError, ValidationError
 
@@ -22,12 +21,18 @@ _LETTER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 _INT_RE = re.compile(r"-?\d+$")
 
 
-@dataclass
 class ProperSystem:
     """Equations xi_i = sum of integer-weighted monomials."""
 
-    letters: list[str]
-    equations: list[list[tuple[int, Monomial]]]
+    def __init__(self, letters: list[str],
+                 equations: list[list[tuple[int, Monomial]]]):
+        self.letters = letters
+        self.equations = equations
+
+    def __eq__(self, other):
+        return (isinstance(other, ProperSystem)
+                and self.letters == other.letters
+                and self.equations == other.equations)
 
     @property
     def var_count(self) -> int:
@@ -49,12 +54,18 @@ class ProperSystem:
                             f"equation xi{i}: unknown variable xi{value}")
 
 
-@dataclass
 class TruncatedNCSeries:
     """Integer combination of words of length <= max_len over an alphabet."""
 
-    max_len: int
-    terms: dict[tuple[str, ...], int] = field(default_factory=dict)
+    def __init__(self, max_len: int,
+                 terms: dict[tuple[str, ...], int] | None = None):
+        self.max_len = max_len
+        self.terms = {} if terms is None else terms
+
+    def __eq__(self, other):
+        return (isinstance(other, TruncatedNCSeries)
+                and self.max_len == other.max_len
+                and self.terms == other.terms)
 
     def words(self) -> list[tuple[str, ...]]:
         return sorted(self.terms, key=lambda w: (len(w), w))

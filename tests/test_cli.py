@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from fgzeta.cli import (MAX_DIMENSION, format_matrix_document, main,
                         parse_matrix_document)
 from fgzeta.errors import ParseError
+from fgzeta.guess import MAX_POWER_WORK
 from fgzeta.families import build_kontsevich, build_two_by_two
 from fgzeta.passage import WORK_LIMIT
 from fgzeta.words import MAX_WORD_LENGTH
@@ -206,6 +212,27 @@ class TestExitCodes:
         assert out == ""
         assert "3000" in err and f"MAX_DIMENSION = {MAX_DIMENSION}" in err
 
+    def test_huge_polynomial_y_degree_is_refused_up_front(self, capsys):
+        poly = "1 * t^0 * y^100000000"
+        code, out, err = run(capsys, "verify", "--builtin", "kontsevich:1",
+                             "--order", "10", "--poly", poly)
+        assert code == 3
+        assert out == ""
+        assert "y-degree 100000000 at order 10" in err
+        assert f"MAX_POWER_WORK = {MAX_POWER_WORK}" in err
+        # g has no constant term, so its powers above the order vanish
+        code, out, _ = run(capsys, "verify", "--builtin", "kontsevich:1",
+                           "--order", "10", "--target", "g", "--poly", poly)
+        assert code == 0
+        assert out == "ANNIHILATES to order 10\n"
+
+    def test_overlong_polynomial_number_is_1(self, capsys):
+        code, out, err = run(capsys, "verify", "--builtin", "kontsevich:1",
+                             "--poly", "1 * t^0 * y^" + "9" * 5000)
+        assert code == 1
+        assert out == ""
+        assert "too long" in err
+
     def test_insufficient_guess_order_is_2(self, capsys):
         code, _, err = run(capsys, "guess", "--builtin", "paper2x2",
                            "--order", "5")
@@ -231,3 +258,15 @@ class TestSelfcheck:
         assert out.splitlines()[-1] == "selfcheck passed"
         assert all(line.startswith("ok: ")
                    for line in out.splitlines()[:-1])
+
+
+class TestStartup:
+    def test_cli_import_skips_dataclasses(self):
+        import fgzeta
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(fgzeta.__file__).resolve().parent.parent))
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, fgzeta.cli; print('dataclasses' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True)
+        assert result.stdout == "False\n"

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from fgzeta import guess
-from fgzeta.errors import ParseError, ValidationError
+from fgzeta.errors import ParseError, ResourceLimitError, ValidationError
 from fgzeta.families import (closed_generating_series, closed_zeta,
                              rooted_loop_series)
 from fgzeta.guess import (MODULUS, BivariatePolynomial, evaluate_at_series,
@@ -56,6 +56,76 @@ class TestEvaluate:
         p = BivariatePolynomial({(0, 1): 1})
         f = TruncatedSeries([1, 2, 3], 2)
         assert evaluate_at_series(p, f) == f
+
+
+def random_series(rng, order, integral, constant=None):
+    if integral:
+        coeffs = [rng.randint(-5, 5) for _ in range(order + 1)]
+    else:
+        coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                  for _ in range(order + 1)]
+    if constant is not None:
+        coeffs[0] = constant
+    return TruncatedSeries(coeffs, order)
+
+
+def random_polynomial(rng, order, deg_y):
+    """Terms up to y^deg_y, some with a t-degree beyond the order."""
+    return BivariatePolynomial({
+        (rng.randint(0, order + 3), rng.randint(0, deg_y)): rng.randint(-9, 9)
+        for _ in range(rng.randint(0, 8))})
+
+
+def rational_evaluation(p, f):
+    """sum c_ij t^i f^j with every product taken over Fraction series."""
+    out = TruncatedSeries.zero(f.order)
+    for (i, j), c in p.coeffs.items():
+        out = out + TruncatedSeries.monomial(c, i, f.order) * f ** j
+    return out
+
+
+class TestSeriesPowers:
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_powers_match_repeated_products(self, rng, integral):
+        for _ in range(20):
+            order = rng.randint(0, 12)
+            f = random_series(rng, order, integral)
+            top = rng.randint(0, 6)
+            expected = [TruncatedSeries.one(order)]
+            for _ in range(top):
+                expected.append(expected[-1] * f)
+            powers = guess._series_powers(f, top)
+            assert [TruncatedSeries(pw, order) for pw in powers] == expected
+            if integral:
+                assert all(type(c) is int for pw in powers for c in pw)
+
+    def test_rational_series_take_the_fraction_route(self):
+        f = TruncatedSeries([Fraction(1, 2), Fraction(1, 3)], 1)
+        assert guess._series_powers(f, 2)[2] == [Fraction(1, 4), Fraction(1, 3)]
+
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_evaluation_matches_rational_products(self, rng, integral):
+        for _ in range(40):
+            order = rng.randint(0, 10)
+            constant = rng.choice([None, 0])
+            f = random_series(rng, order, integral, constant)
+            # without a constant term, y-degrees above the order vanish
+            deg_y = order + 3 if constant == 0 else 4
+            p = random_polynomial(rng, order, deg_y)
+            expected = rational_evaluation(p, f)
+            assert evaluate_at_series(p, f) == expected
+            powers = guess._series_powers(f, deg_y)
+            assert evaluate_at_series(p, f, powers) == expected
+
+    def test_power_work_is_bounded_before_any_power(self):
+        n = 10
+        top = guess.MAX_POWER_WORK // (n + 1) ** 2 + 1
+        p = BivariatePolynomial({(0, top): 1})
+        with pytest.raises(ResourceLimitError, match="MAX_POWER_WORK"):
+            evaluate_at_series(p, TruncatedSeries.one(n))
+        # f^top vanishes through t^n when f has no constant term
+        f = TruncatedSeries.monomial(1, 1, n)
+        assert evaluate_at_series(p, f).is_zero()
 
 
 class TestExactKernel:
@@ -267,3 +337,7 @@ class TestPolynomialText:
     def test_parse_error(self):
         with pytest.raises(ParseError):
             parse_bivariate("2y^2")
+
+    def test_overlong_number_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="too long"):
+            parse_bivariate("1 * t^0 * y^" + "9" * 5000)
