@@ -9,7 +9,6 @@ and satisfies a bivariate polynomial that :func:`guess_annihilator` can
 recover from enough coefficients.
 """
 
-from ._kernel import BACKEND as KERNEL_BACKEND
 from .algebra import AlgebraElement, format_element, multiply, parse_element
 from .cyclic import (Letter, alphabet_of, cycle_weight, cycle_weight_sum,
                      euler_product, lyndon_words)
@@ -37,7 +36,6 @@ __all__ = [
     "BivariatePolynomial",
     "FgzetaError",
     "GeneratorTable",
-    "KERNEL_BACKEND",
     "Letter",
     "ParseError",
     "ProperSystem",

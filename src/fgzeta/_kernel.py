@@ -1,34 +1,37 @@
-"""Kernel backend selection.
+"""Group algebra convolution kernel.
 
-The compiled extension is preferred when it imported cleanly; setting
-``FGZETA_PURE_PYTHON=1`` in the environment forces the pure-Python
-fallback.  Callers should late-bind through this module
-(``_kernel.mul_terms(...)``) so the backend can be swapped in benchmarks
-and tests.
+Callers late-bind through this module (``_kernel.mul_terms(...)``), so a
+test or a tracer can wrap the function in place.
 """
 
-import os
 
-from . import _kernel_py
+def mul_terms(a: dict, b: dict, max_len: int) -> dict:
+    """Convolve two term maps {reduced word tuple: int coefficient}.
 
-if os.environ.get("FGZETA_PURE_PYTHON"):
-    _impl = _kernel_py
-else:
-    try:
-        from . import _speedups as _impl  # type: ignore[no-redef]
-    except ImportError:
-        _impl = _kernel_py
-
-BACKEND: str = _impl.BACKEND
-mul_terms = _impl.mul_terms
-
-
-def available_backends() -> dict:
-    """Map backend name to its module, for benchmarks and tests."""
-    backends = {"python": _kernel_py}
-    try:
-        from . import _speedups
-        backends["cython"] = _speedups
-    except ImportError:
-        pass
-    return backends
+    Each product word is the free reduction of the concatenation; with
+    ``max_len >= 0`` products longer than ``max_len`` are dropped.  Zero
+    coefficients never survive.
+    """
+    out: dict = {}
+    for wa, ca in a.items():
+        la = len(wa)
+        for wb, cb in b.items():
+            i = la
+            j = 0
+            lb = len(wb)
+            while i > 0 and j < lb and wa[i - 1] == -wb[j]:
+                i -= 1
+                j += 1
+            if max_len >= 0 and i + lb - j > max_len:
+                continue
+            w = wa[:i] + wb[j:]
+            c = out.get(w)
+            if c is None:
+                out[w] = ca * cb
+            else:
+                c = c + ca * cb
+                if c:
+                    out[w] = c
+                else:
+                    del out[w]
+    return out

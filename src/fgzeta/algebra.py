@@ -8,8 +8,8 @@ grow exponentially even when the final counts stay small.
 
 from . import _kernel
 from .errors import ParseError
-from .words import (GeneratorTable, Word, concat, format_word, free_reduce,
-                    invert, parse_word, word_sort_key)
+from .words import (GeneratorTable, LetterBudget, Word, concat, format_word,
+                    free_reduce, invert, parse_word, word_sort_key)
 
 
 class AlgebraElement:
@@ -123,13 +123,13 @@ def format_element(a: AlgebraElement, table: GeneratorTable) -> str:
     return " + ".join(parts)
 
 
-def parse_element(text: str, table: GeneratorTable,
-                  declare: bool = True) -> AlgebraElement:
+def parse_element(text: str, table: GeneratorTable, declare: bool = True,
+                  budget: LetterBudget | None = None) -> AlgebraElement:
     """Parse polynomial display syntax; inverse of :func:`format_element`.
 
     Terms are '+'-separated; a term is ``word``, ``c*word`` or ``-word``.
     Words inside terms use the word display syntax, ``1`` for the
-    identity.
+    identity; their letters are spent from ``budget`` when one is given.
     """
     text = text.strip()
     if text == "0":
@@ -153,7 +153,7 @@ def parse_element(text: str, table: GeneratorTable,
             if word_text.startswith("-"):
                 coeff = -1
                 word_text = word_text[1:]
-        w = parse_word(word_text, table, declare=declare)
+        w = parse_word(word_text, table, declare=declare, budget=budget)
         s = out.get(w, 0) + coeff
         if s:
             out[w] = s

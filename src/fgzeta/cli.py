@@ -18,13 +18,14 @@ from fractions import Fraction
 from .algebra import AlgebraElement, format_element, parse_element
 from .cyclic import alphabet_of, cycle_weight, cycle_weight_sum, euler_product
 from .errors import ParseError, ResourceLimitError, ValidationError
-from .families import builtin_matrix
+from .families import (builtin_matrix, random_element, random_matrix,
+                       random_reduced_word)
 from .guess import (evaluate_at_series, format_bivariate, guess_annihilator,
                     parse_bivariate, required_order)
 from .matrix import (DEFAULT_PATH_BOUND, DEFAULT_TERM_LIMIT, AlgebraMatrix,
                      power_trace_counts, trace_count_by_paths, trace_counts)
 from .series import TruncatedSeries, format_series, generating_series, zeta_series
-from .words import GeneratorTable, free_reduce, concat, invert
+from .words import GeneratorTable, LetterBudget, concat, invert
 
 
 class RunConfig:
@@ -59,9 +60,11 @@ def parse_matrix_document(text: str) -> AlgebraMatrix:
     """Parse the matrix DSL: a ``dim <d>`` header, then ``[i,j] = <poly>``.
 
     Unassigned entries are zero; duplicate assignments are rejected;
-    generators are declared implicitly in order of first appearance.
+    generators are declared implicitly in order of first appearance.  All
+    words together may spell at most words.MAX_DOCUMENT_LETTERS letters.
     """
     table = GeneratorTable()
+    budget = LetterBudget()
     dim = None
     entries = None
     seen = set()
@@ -96,7 +99,8 @@ def parse_matrix_document(text: str) -> AlgebraMatrix:
                              line=ln)
         seen.add((i, j))
         try:
-            entries[i - 1][j - 1] = parse_element(m.group(3), table)
+            entries[i - 1][j - 1] = parse_element(m.group(3), table,
+                                                  budget=budget)
         except ParseError as exc:
             raise ParseError(str(exc), line=ln) from None
         except ResourceLimitError as exc:
@@ -307,37 +311,6 @@ def script_main():
 # selfcheck
 
 
-def _random_element(rng, n_gens, max_support, max_len, coeff_range):
-    terms = {}
-    for _ in range(rng.randint(0, max_support)):
-        length = rng.randint(0, max_len)
-        raw = [rng.choice([1, -1]) * rng.randint(1, n_gens)
-               for _ in range(length)]
-        c = 0
-        while c == 0:
-            c = rng.randint(-coeff_range, coeff_range)
-        w = free_reduce(raw)
-        terms[w] = terms.get(w, 0) + c
-    return AlgebraElement(terms)
-
-
-def _random_matrix(rng, dim, n_gens=2, max_support=2, max_len=2,
-                   coeff_range=3):
-    table = GeneratorTable(f"g{k}" for k in range(1, n_gens + 1))
-    while True:
-        entries = [[_random_element(rng, n_gens, max_support, max_len,
-                                    coeff_range)
-                    for _ in range(dim)] for _ in range(dim)]
-        if any(not e.is_zero() for row in entries for e in row):
-            return AlgebraMatrix(entries, table)
-
-
-def _random_word(rng, n_gens, max_len):
-    raw = [rng.choice([1, -1]) * rng.randint(1, n_gens)
-           for _ in range(rng.randint(0, max_len))]
-    return free_reduce(raw)
-
-
 def cmd_selfcheck(args, config: RunConfig) -> int:
     rng = random.Random(12345)
     failures = []
@@ -351,9 +324,9 @@ def cmd_selfcheck(args, config: RunConfig) -> int:
 
     ok = True
     for _ in range(200):
-        u = _random_word(rng, 2, 6)
-        v = _random_word(rng, 2, 6)
-        w = _random_word(rng, 2, 6)
+        u = random_reduced_word(rng, 2, 6)
+        v = random_reduced_word(rng, 2, 6)
+        w = random_reduced_word(rng, 2, 6)
         ok &= concat(concat(u, v), w) == concat(u, concat(v, w))
         ok &= concat(u, invert(u)) == ()
         ok &= concat((), u) == u and concat(u, ()) == u
@@ -361,9 +334,9 @@ def cmd_selfcheck(args, config: RunConfig) -> int:
 
     ok = True
     for _ in range(40):
-        a = _random_element(rng, 2, 3, 2, 5)
-        b = _random_element(rng, 2, 3, 2, 5)
-        c = _random_element(rng, 2, 3, 2, 5)
+        a = random_element(rng, 2, 3, 2, 5)
+        b = random_element(rng, 2, 3, 2, 5)
+        c = random_element(rng, 2, 3, 2, 5)
         ok &= (a * b) * c == a * (b * c)
         ok &= a * (b + c) == a * b + a * c
         ok &= (a * b).coeff(()) == (b * a).coeff(())
@@ -373,7 +346,7 @@ def cmd_selfcheck(args, config: RunConfig) -> int:
     ok = True
     agree = True
     for _ in range(6):
-        m = _random_matrix(rng, rng.randint(1, 3))
+        m = random_matrix(rng)
         pruned = power_trace_counts(m, 5, prune=True)
         ok &= pruned == power_trace_counts(m, 5, prune=False)
         agree &= trace_counts(m, 5) == pruned
@@ -382,7 +355,7 @@ def cmd_selfcheck(args, config: RunConfig) -> int:
 
     ok = True
     for _ in range(6):
-        m = _random_matrix(rng, rng.randint(1, 2))
+        m = random_matrix(rng, rng.randint(1, 2))
         counts = power_trace_counts(m, 4)
         ok &= all(trace_count_by_paths(m, n) == counts[n - 1]
                   for n in range(1, 5))
@@ -390,7 +363,7 @@ def cmd_selfcheck(args, config: RunConfig) -> int:
 
     ok = True
     for _ in range(50):
-        m = _random_matrix(rng, rng.randint(1, 3))
+        m = random_matrix(rng)
         alphabet = alphabet_of(m)
         if not alphabet:
             continue
@@ -403,7 +376,7 @@ def cmd_selfcheck(args, config: RunConfig) -> int:
 
     ok = True
     for _ in range(5):
-        m = _random_matrix(rng, rng.randint(1, 2))
+        m = random_matrix(rng, rng.randint(1, 2))
         counts = trace_counts(m, 3)
         ok &= all(cycle_weight_sum(m, n) == counts[n - 1]
                   for n in range(1, 4))
@@ -411,7 +384,7 @@ def cmd_selfcheck(args, config: RunConfig) -> int:
 
     ok = True
     for _ in range(4):
-        m = _random_matrix(rng, rng.randint(1, 2))
+        m = random_matrix(rng, rng.randint(1, 2))
         ok &= euler_product(m, 4) == zeta_series(trace_counts(m, 4))
     check("euler product matches the exp pipeline", ok)
 
@@ -429,7 +402,7 @@ def cmd_selfcheck(args, config: RunConfig) -> int:
 
     ok = True
     for _ in range(5):
-        m = _random_matrix(rng, rng.randint(1, 3))
+        m = random_matrix(rng)
         ok &= zeta_series(trace_counts(m, 8)).is_integral()
     check("zeta series of integer matrices are integral", ok)
 

@@ -8,6 +8,9 @@ Three families ship with the package, addressable by name from the CLI:
                      letters and a single off-diagonal letter b_ij shared
                      between entries (i,j) and (j,i) as inverses.
 
+A seeded random family (:func:`random_matrix`) serves the tests and
+``fgzeta selfcheck``: small integer matrices over a few generators.
+
 The closed forms below are evaluated with the exact series primitives of
 :mod:`fgzeta.series`; the bookkeeping cross-checks are between pipeline
 counts and closed forms, never against floating point.
@@ -19,7 +22,7 @@ from .algebra import AlgebraElement
 from .errors import ValidationError
 from .matrix import AlgebraMatrix
 from .series import TruncatedSeries
-from .words import GeneratorTable
+from .words import GeneratorTable, free_reduce
 
 KONTSEVICH = "kontsevich"
 TWO_BY_TWO = "paper2x2"
@@ -99,6 +102,39 @@ def build_d_by_d(d: int) -> AlgebraMatrix:
                 row.append(AlgebraElement({(-off[(j, i)],): 1}))
         entries.append(row)
     return AlgebraMatrix(entries, table)
+
+
+def random_reduced_word(rng, n_gens, max_len):
+    """A free reduction of up to ``max_len`` random letters."""
+    raw = [rng.choice([1, -1]) * rng.randint(1, n_gens)
+           for _ in range(rng.randint(0, max_len))]
+    return free_reduce(raw)
+
+
+def random_element(rng, n_gens=2, max_support=2, max_len=2, coeff_range=3):
+    """Up to ``max_support`` random words with nonzero coefficients in
+    ``-coeff_range .. coeff_range``; words that coincide are summed."""
+    terms = {}
+    for _ in range(rng.randint(0, max_support)):
+        w = random_reduced_word(rng, n_gens, max_len)
+        c = rng.choice([k for k in range(-coeff_range, coeff_range + 1) if k])
+        terms[w] = terms.get(w, 0) + c
+    return AlgebraElement(terms)
+
+
+def random_matrix(rng, dim=None, n_gens=2, max_support=2, max_len=2,
+                  coeff_range=3):
+    """A nonzero integer matrix from the random family; ``dim`` defaults
+    to a draw from 1..3."""
+    if dim is None:
+        dim = rng.randint(1, 3)
+    table = GeneratorTable(f"g{k}" for k in range(1, n_gens + 1))
+    while True:
+        entries = [[random_element(rng, n_gens, max_support, max_len,
+                                   coeff_range)
+                    for _ in range(dim)] for _ in range(dim)]
+        if any(not e.is_zero() for row in entries for e in row):
+            return AlgebraMatrix(entries, table)
 
 
 def _sqrt_one_minus(c: int, order: int) -> TruncatedSeries:
@@ -228,5 +264,8 @@ __all__ = [
     "closed_zeta",
     "dxd_zeta_prefix",
     "parse_builtin_name",
+    "random_element",
+    "random_matrix",
+    "random_reduced_word",
     "rooted_loop_series",
 ]

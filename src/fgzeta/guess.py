@@ -293,8 +293,9 @@ def guess_annihilator(f: TruncatedSeries, deg_t: int,
     without an exact kernel.  That is sound: a nonzero rational kernel
     vector scales to a primitive integer one, which stays a nonzero
     kernel vector modulo any prime, so the rank modulo a prime is at most
-    the rank over Q.  When a denominator of f is divisible by MODULUS,
-    f has no image modulo it and every pair gets an exact kernel.
+    the rank over Q.  When a denominator of a power of f is divisible by
+    MODULUS, the systems have no image modulo it and every pair gets an
+    exact kernel.
     """
     required = required_order(deg_t, deg_y)
     if f.order < required:
@@ -302,7 +303,7 @@ def guess_annihilator(f: TruncatedSeries, deg_t: int,
             f"series order {f.order} is too small for bounds "
             f"(deg_t={deg_t}, deg_y={deg_y}); need order >= {required}")
     powers = _series_powers(f, deg_y)
-    powers_mod = _powers_mod_p(f, deg_y)
+    powers_mod = _powers_mod_p(powers)
     for dy in range(deg_y + 1):
         first = 0 if powers_mod is None else _first_dependent_dt(powers_mod, dy, deg_t)
         for dt in range(first, deg_t + 1):
@@ -320,23 +321,20 @@ def guess_annihilator(f: TruncatedSeries, deg_t: int,
     return None
 
 
-def _powers_mod_p(f: TruncatedSeries, top: int) -> list[list[int]] | None:
-    """f^0 .. f^top modulo MODULUS, or None if f has no image modulo it."""
-    if any(c.denominator % MODULUS == 0 for c in f.coeffs):
-        return None
-    n = f.order
-    image = [c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
-             for c in f.coeffs]
-    powers = [[1] + [0] * n]
-    for _ in range(top):
-        last = powers[-1]
-        out = [0] * (n + 1)
-        for i, a in enumerate(last):
-            if a:
-                for j in range(n + 1 - i):
-                    out[i + j] += a * image[j]
-        powers.append([x % MODULUS for x in out])
-    return powers
+def _powers_mod_p(powers: list[list]) -> list[list[int]] | None:
+    """The power lists of :func:`_series_powers` reduced modulo MODULUS,
+    or None if an entry has a denominator divisible by MODULUS."""
+    reduced = []
+    for power in powers:
+        row = []
+        for x in power:
+            if type(x) is not int:
+                if x.denominator % MODULUS == 0:
+                    return None
+                x = x.numerator * pow(x.denominator, -1, MODULUS)
+            row.append(x % MODULUS)
+        reduced.append(row)
+    return reduced
 
 
 def _first_dependent_dt(powers: list[list[int]], dy: int, deg_t: int) -> int:

@@ -156,14 +156,39 @@ _EXP_RE = re.compile(r"\^(-?\d+)$")
 MAX_WORD_LENGTH = 10_000
 _MAX_EXPONENT_DIGITS = len(str(MAX_WORD_LENGTH))
 
+# Most letters all the words of one matrix document may spell before
+# reduction.  The count engine expands every letter into a state, so
+# time and memory grow with this total.  At the limit, one entry of ten
+# words of 9,999 letters takes 0.5-0.8 s and 45 MiB for `an --order 2`
+# and 1.4-1.5 s and 55 MiB for `an --order 10`, on a 2-core Intel Xeon
+# VM (CPython 3.11); 399 such words took 28 s and 1.18 GiB at order 2.
+MAX_DOCUMENT_LETTERS = 100_000
 
-def parse_word(text: str, table: GeneratorTable, declare: bool = True) -> Word:
+
+class LetterBudget:
+    """The letters that the words of one document may still spell."""
+
+    __slots__ = ("left",)
+
+    def __init__(self):
+        self.left = MAX_DOCUMENT_LETTERS
+
+    def spend(self, count: int):
+        self.left -= count
+        if self.left < 0:
+            raise ResourceLimitError(
+                "the document spells more than MAX_DOCUMENT_LETTERS = "
+                f"{MAX_DOCUMENT_LETTERS} letters")
+
+
+def parse_word(text: str, table: GeneratorTable, declare: bool = True,
+               budget: LetterBudget | None = None) -> Word:
     """Parse the display syntax back into a reduced word.
 
     Round trip guarantee: ``parse_word(format_word(w, t), t) == w``.
     Unknown names are registered when ``declare`` is true, otherwise
-    rejected.  A word that spells more than MAX_WORD_LENGTH letters raises
-    ResourceLimitError.
+    rejected.  A word that spells more than MAX_WORD_LENGTH letters, or
+    more than ``budget`` has left, raises ResourceLimitError.
     """
     text = text.strip()
     if text == "1":
@@ -188,6 +213,8 @@ def parse_word(text: str, table: GeneratorTable, declare: bool = True) -> Word:
         if len(letters) + abs(exponent) > MAX_WORD_LENGTH:
             _too_long(token)
         letters.extend([letter] * abs(exponent))
+    if budget is not None:
+        budget.spend(len(letters))
     return free_reduce(letters)
 
 

@@ -1,42 +1,10 @@
-"""Shared builders for the randomized test families."""
+"""Shared fixtures; the random family itself lives in fgzeta.families."""
 
 import random
 
 import pytest
 
-from fgzeta.algebra import AlgebraElement
-from fgzeta.matrix import AlgebraMatrix
-from fgzeta.words import GeneratorTable, free_reduce
-
-
-def random_reduced_word(rng, n_gens, max_len):
-    raw = [rng.choice([1, -1]) * rng.randint(1, n_gens)
-           for _ in range(rng.randint(0, max_len))]
-    return free_reduce(raw)
-
-
-def random_element(rng, n_gens=2, max_support=2, max_len=2, coeff_range=3,
-                   allow_zero=True):
-    terms = {}
-    for _ in range(rng.randint(0 if allow_zero else 1, max_support)):
-        w = random_reduced_word(rng, n_gens, max_len)
-        c = rng.choice([k for k in range(-coeff_range, coeff_range + 1) if k])
-        terms[w] = terms.get(w, 0) + c
-    return AlgebraElement(terms)
-
-
-def random_matrix(rng, dim=None, n_gens=2, max_support=2, max_len=2,
-                  coeff_range=3):
-    """A nonzero integer matrix from the documented random family."""
-    if dim is None:
-        dim = rng.randint(1, 3)
-    table = GeneratorTable(f"g{k}" for k in range(1, n_gens + 1))
-    while True:
-        entries = [[random_element(rng, n_gens, max_support, max_len,
-                                   coeff_range)
-                    for _ in range(dim)] for _ in range(dim)]
-        if any(not e.is_zero() for row in entries for e in row):
-            return AlgebraMatrix(entries, table)
+from fgzeta.families import random_element, random_matrix
 
 
 @pytest.fixture

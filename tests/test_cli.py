@@ -7,11 +7,11 @@ import pytest
 
 from fgzeta.cli import (MAX_DIMENSION, format_matrix_document, main,
                         parse_matrix_document)
-from fgzeta.errors import ParseError
+from fgzeta.errors import ParseError, ResourceLimitError
 from fgzeta.guess import MAX_POWER_WORK
 from fgzeta.families import build_kontsevich, build_two_by_two
 from fgzeta.passage import WORK_LIMIT
-from fgzeta.words import MAX_WORD_LENGTH
+from fgzeta.words import MAX_DOCUMENT_LETTERS, MAX_WORD_LENGTH
 
 from conftest import random_matrix
 
@@ -202,6 +202,34 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "line 2" in err and f"MAX_WORD_LENGTH = {MAX_WORD_LENGTH}" in err
+
+    def test_many_long_words_are_refused_before_the_engine(self, capsys,
+                                                           tmp_path):
+        # 399 words of 9,999 letters: the engine took 28 s and 1.18 GiB
+        terms = " + ".join(f"a^{k + 1} b^{9998 - k}" for k in range(399))
+        doc = tmp_path / "m.txt"
+        doc.write_text(f"dim 1\n[1,1] = {terms}\n")
+        code, out, err = run(capsys, "an", "--order", "2", "--matrix", str(doc))
+        assert code == 3
+        assert out == ""
+        assert "line 2" in err
+        assert f"MAX_DOCUMENT_LETTERS = {MAX_DOCUMENT_LETTERS}" in err
+
+    def test_letter_budget_spans_the_whole_document(self):
+        # one full-length word per diagonal entry, counted before reduction
+        word = f"a^{MAX_WORD_LENGTH // 2} a^-{MAX_WORD_LENGTH // 2}"
+        lines = MAX_DOCUMENT_LETTERS // MAX_WORD_LENGTH
+        dim = lines + 1
+
+        def document(n):
+            return f"dim {dim}\n" + "".join(
+                f"[{i},{i}] = {word}\n" for i in range(1, n + 1))
+
+        first = parse_matrix_document(document(lines)).entries[0][0]
+        assert first.terms == {(): 1}
+        with pytest.raises(ResourceLimitError) as info:
+            parse_matrix_document(document(lines + 1))
+        assert f"line {lines + 2}:" in str(info.value)
 
     def test_oversized_dimension_is_refused_before_allocation(self, capsys,
                                                               tmp_path):

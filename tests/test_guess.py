@@ -270,19 +270,35 @@ class TestModularScreen:
     @pytest.mark.parametrize("f, deg_t, deg_y", GUESS_CASES)
     def test_screened_scan_matches_unscreened(self, monkeypatch, f, deg_t, deg_y):
         screened = guess_annihilator(f, deg_t, deg_y)
-        monkeypatch.setattr(guess, "_powers_mod_p", lambda f, top: None)
+        monkeypatch.setattr(guess, "_powers_mod_p", lambda powers: None)
         assert guess_annihilator(f, deg_t, deg_y) == screened
 
     @pytest.mark.parametrize("f, deg_t, deg_y", GUESS_CASES)
     def test_skipped_pairs_have_no_exact_kernel(self, f, deg_t, deg_y):
         powers = guess._series_powers(f, deg_y)
-        powers_mod = guess._powers_mod_p(f, deg_y)
+        powers_mod = guess._powers_mod_p(powers)
         for dy in range(deg_y + 1):
             first = guess._first_dependent_dt(powers_mod, dy, deg_t)
             for dt in range(min(first, deg_t + 1)):
                 assert guess._kernel_candidate(f, powers, dt, dy) is None
             if first <= deg_t:
                 assert guess._kernel_candidate(f, powers, first, dy) is not None
+
+    @pytest.mark.parametrize("integral", [True, False])
+    def test_reduced_powers_are_powers_of_the_image(self, rng, integral):
+        for _ in range(20):
+            order = rng.randint(0, 10)
+            f = random_series(rng, order, integral)
+            image = [c.numerator * pow(c.denominator, -1, MODULUS) % MODULUS
+                     for c in f.coeffs]
+            expected = [[1] + [0] * order]
+            for _ in range(rng.randint(0, 4)):
+                last = expected[-1]
+                expected.append([sum(last[i] * image[k - i]
+                                     for i in range(k + 1)) % MODULUS
+                                 for k in range(order + 1)])
+            powers = guess._series_powers(f, len(expected) - 1)
+            assert guess._powers_mod_p(powers) == expected
 
     def test_no_exact_kernel_when_every_pair_has_full_rank(self, monkeypatch):
         calls = count_exact_kernels(monkeypatch)
@@ -293,7 +309,7 @@ class TestModularScreen:
             self, monkeypatch):
         # f = 1/(1 - t/p) has denominators p^k, so it has no image mod p
         f = TruncatedSeries([Fraction(1, MODULUS ** k) for k in range(13)], 12)
-        assert guess._powers_mod_p(f, 1) is None
+        assert guess._powers_mod_p(guess._series_powers(f, 1)) is None
         calls = count_exact_kernels(monkeypatch)
         p = guess_annihilator(f, 1, 1)
         assert p == BivariatePolynomial({(1, 1): 1, (0, 1): -MODULUS,
