@@ -18,14 +18,16 @@ from fractions import Fraction
 from .algebra import AlgebraElement, format_element, parse_element
 from .cyclic import alphabet_of, cycle_weight, cycle_weight_sum, euler_product
 from .errors import ParseError, ResourceLimitError, ValidationError
-from .families import (builtin_matrix, random_element, random_matrix,
+from .families import (D_BY_D, KONTSEVICH, builtin_matrix,
+                       parse_builtin_name, random_element, random_matrix,
                        random_reduced_word)
 from .guess import (evaluate_at_series, format_bivariate, guess_annihilator,
                     parse_bivariate, required_order)
 from .matrix import (DEFAULT_PATH_BOUND, DEFAULT_TERM_LIMIT, AlgebraMatrix,
                      power_trace_counts, trace_count_by_paths, trace_counts)
 from .series import TruncatedSeries, format_series, generating_series, zeta_series
-from .words import GeneratorTable, LetterBudget, concat, invert
+from .words import (MAX_DOCUMENT_LETTERS, GeneratorTable, LetterBudget, concat,
+                    invert)
 
 
 class RunConfig:
@@ -121,8 +123,28 @@ def format_matrix_document(m: AlgebraMatrix) -> str:
     return "\n".join(lines)
 
 
+def check_builtin_size(name: str):
+    """Refuse a built-in larger than a matrix document may be, before it
+    is built: ``paperdxd:d`` above MAX_DIMENSION, or one that spells more
+    than MAX_DOCUMENT_LETTERS letters (2n for ``kontsevich:n``, d^2 for
+    ``paperdxd:d``)."""
+    family, arg = parse_builtin_name(name)
+    if arg is None or arg < 1:
+        return  # fixed size, or refused by its builder
+    if family == D_BY_D and arg > MAX_DIMENSION:
+        raise ResourceLimitError(
+            f"{name}: dimension {arg} exceeds the limit "
+            f"MAX_DIMENSION = {MAX_DIMENSION}")
+    letters = 2 * arg if family == KONTSEVICH else arg * arg
+    if letters > MAX_DOCUMENT_LETTERS:
+        raise ResourceLimitError(
+            f"{name} spells {letters} letters, more than "
+            f"MAX_DOCUMENT_LETTERS = {MAX_DOCUMENT_LETTERS}")
+
+
 def _load_matrix(args) -> AlgebraMatrix:
     if args.builtin:
+        check_builtin_size(args.builtin)
         return builtin_matrix(args.builtin)
     if args.matrix == "-":
         return parse_matrix_document(sys.stdin.read())

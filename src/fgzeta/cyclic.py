@@ -110,7 +110,8 @@ def _closed_chains(m: AlgebraMatrix, max_length: int, node_bound: int,
         visited += 1
         if visited > node_bound:
             raise ResourceLimitError(
-                f"enumeration bound {node_bound} exceeded at length {max_length}")
+                f"length {max_length} (--length) exceeds the enumeration "
+                f"bound of {node_bound} closed-chain nodes; lower the length")
         depth = len(chain)
         if depth and row == start_row and not product and (
                 not lyndon or period == depth):

@@ -17,19 +17,34 @@ Infinite Graphs and Groups, 2000):
 Here ``A_y`` holds the single-letter steps of letter ``y`` and ``A_eps``
 the identity-word steps.  Each support word of length l becomes l
 single-letter steps through l - 1 intermediate states; only the first
-step carries ``c*t``, the others carry ``1``.  The system is solved
-coefficient by coefficient, at O(N^2) row operations for N counts.
+step carries ``c*t``, the others carry ``1``.
+
+The system is solved one degree at a time.  Every series is stored
+dense: one list of integer coefficients per (state, column), with one
+entry per solved degree.  The convolution over the degrees below n of a
+row of ``B_s`` with a row of ``F_s``, or of ``G`` with ``K``, is then
+one C-level ``sum(map(mul, ...))`` per pair of columns, about N^2/2
+coefficient products over a solve to N.  Each state's steps are indexed
+by letter once.  Row u of ``K`` is summed once per degree, and row u of
+``B_s = A_eps + sum_{y != s} A_y F_{y^-1}`` is that row less the terms
+of the s-steps of u, which the index lists; the ``A_s`` term of
+``F_s`` comes from the same list.  So a degree visits each step a
+constant number of times, not once per unknown.
 """
 
+from operator import countOf, mul
 from typing import NamedTuple
 
 from .errors import ResourceLimitError, ValidationError
 
 # Upper bound on FirstPassageSystem.work_estimate for one solve.  Measured
-# at an estimate of 1e11, in pure Python on one core of a 2-core Intel
-# Xeon VM (CPython 3.11): paper2x2 to order 1842 takes 11.5 s,
-# kontsevich:1 to 3218 11.7 s, paperdxd:4 to 1013 16 s, paperdxd:8 to
-# 538 24 s and kontsevich:3 to 2426 35 s, each under 33 MiB peak RSS.
+# at an estimate of 1e11, one call in pure Python on one core of a 2-core
+# Intel Xeon VM (CPython 3.11), with the process's peak RSS: paperdxd:8
+# to order 538 takes 2.0 s and 20 MiB, paperdxd:4 to 1013 2.3 s and
+# 19 MiB, paper2x2 to 1842 3.5 s and 18 MiB, kontsevich:1 to 3218 4.9 s
+# and 17 MiB, and kontsevich:3 to 2426 15.2 s and 21 MiB.  Many letters
+# cost more per unit of the estimate: kontsevich:800 to 396 (1600
+# unknowns) takes 37 s and 148 MiB.
 WORK_LIMIT = 100_000_000_000
 
 
@@ -99,42 +114,64 @@ class FirstPassageSystem:
                 f"{len(self.unknowns)} unknowns, over the work limit "
                 f"{WORK_LIMIT:.0e}; lower the order")
 
-        empty = {}  # shared zero row; never mutated
         unknowns = self.unknowns
         states = range(self.size)
-        # Histories indexed [state][degree], each entry a sparse row {col: c}.
-        # B[s][u] is K[u] (the same list) unless state u has an s-step.
-        f = {s: [[] for _ in states] for s in unknowns}
-        k_hist = [[] for _ in states]
-        b = {s: [k_hist[u] if all(step.letter != s for step in self.steps[u])
-                 else [] for u in states] for s in unknowns}
-        g = [[{c: 1}] for c in range(self.dim)]
+        # Each state's steps by letter: {letter: [(coeff, degree, target)]}.
+        by_letter = []
+        for u in states:
+            index = {}
+            for x, c, degree, v in self.steps[u]:
+                index.setdefault(x, []).append((c, degree, v))
+            by_letter.append(index)
+        # Histories indexed [state], each {col: [c_0, c_1, ...]}: one dense
+        # list per column, one entry per solved degree.  B[s][u] is K[u]
+        # (the same dict) unless state u has an s-step.
+        f = {s: [{} for _ in states] for s in unknowns}
+        k_hist = [{} for _ in states]
+        b = {s: [{} if s in by_letter[u] else k_hist[u] for u in states]
+             for s in unknowns}
+        g = [{c: [1]} for c in range(self.dim)]
         counts = []
         stored = self.dim
 
-        def excursion_row(u, n, skip):
-            """[t^n] of row u of A_eps + sum over y != skip of A_y F_{y^-1}."""
-            parts = []
-            for x, c, degree, v in self.steps[u]:
-                if x == skip or n < degree:
+        def extend(hist, row, n):
+            """Append degree n, the values in ``row``, to ``hist``; return
+            the number of nonzero values."""
+            nonzero = len(row) - countOf(row.values(), 0)
+            for col, values in hist.items():
+                values.append(row.pop(col, 0))
+            for col, val in row.items():
+                if val:
+                    hist[col] = [0] * n + [val]
+            return nonzero
+
+        def copied(parts, skip, dropped):
+            """Whether the row summed from ``parts`` less the ``dropped`` ones
+            of letter ``skip`` is empty or a plain copy: one part, of
+            coefficient 1.  Such a row is not counted again."""
+            rest = len(parts) - dropped
+            if rest != 1:
+                return rest == 0
+            return next(c for x, c in parts if x != skip) == 1
+
+        def add_passages(row, group, hist, n, sign):
+            """Add ``sign * c * [t^(n - degree)] hist[v]`` to ``row`` for each
+            step (c, degree, v) of ``group``; return the coefficients of the
+            steps that added a nonzero term."""
+            added = []
+            for c, degree, v in group:
+                m = n - degree
+                if m < 0:
                     continue
-                if not x:
-                    if n == degree:
-                        parts.append((c, {v: 1}))
-                elif x in f:
-                    row = f[-x][v][n - degree]
-                    if row:
-                        parts.append((c, row))
-            if not parts:
-                return empty, 0
-            if len(parts) == 1 and parts[0][0] == 1:
-                return parts[0][1], 0
-            acc = {}
-            for c, row in parts:
-                for col, val in row.items():
-                    acc[col] = acc.get(col, 0) + c * val
-            acc = {col: val for col, val in acc.items() if val}
-            return acc or empty, len(acc)
+                part = False
+                for col, values in hist[v].items():
+                    val = values[m]
+                    if val:
+                        row[col] = row.get(col, 0) + sign * c * val
+                        part = True
+                if part:
+                    added.append(c)
+            return added
 
         for n in range(count + 1):
             # Steps from original states carry t, so their rows read lower
@@ -143,49 +180,62 @@ class FirstPassageSystem:
             # K and every B have no constant term, so the convolutions over
             # k start at 1 and read only degrees below n of F and G.
             for u in self.solve_order:
-                row, fresh = excursion_row(u, n, None)
-                k_hist[u].append(row)
-                stored += fresh
-                if n == 0 and row:
+                index = by_letter[u]
+                # [t^n] of row u of K, and the (letter, coeff) of each step
+                # that adds to it: an identity step of degree n, or a step
+                # whose F row is nonzero at degree n - degree.
+                krow = {}
+                parts = []
+                for x, group in index.items():
+                    if not x:
+                        for c, degree, v in group:
+                            if degree == n:
+                                krow[v] = krow.get(v, 0) + c
+                                parts.append((0, c))
+                    elif x in f:
+                        parts += [(x, c) for c in
+                                  add_passages(krow, group, f[-x], n, 1)]
+                if n == 0 and any(krow.values()):
                     raise ValidationError(
                         "support words must be freely reduced: the excursion "
                         "series K has a constant term")
+                # B_s[u] = K[u] less the terms of the s-steps of u.
+                for s, group in index.items():
+                    if s in f:
+                        row = dict(krow)
+                        dropped = len(add_passages(row, group, f[-s], n, -1))
+                        fresh = extend(b[s][u], row, n)
+                        if not copied(parts, s, dropped):
+                            stored += fresh
+                fresh = extend(k_hist[u], krow, n)
+                if not copied(parts, None, 0):
+                    stored += fresh
                 for s in unknowns:
-                    bs = b[s][u]
-                    if bs is not k_hist[u]:
-                        row, fresh = excursion_row(u, n, s)
-                        bs.append(row)
-                        stored += fresh
                     acc = {}
-                    for x, c, degree, v in self.steps[u]:
-                        if x == s and degree == n:
+                    for c, degree, v in index.get(s, ()):
+                        if degree == n:
                             acc[v] = acc.get(v, 0) + c
-                    fs = f[s]
-                    for k in range(1, n + 1):
-                        brow = bs[k]
-                        if brow:
-                            m = n - k
-                            for w, bw in brow.items():
-                                for col, val in fs[w][m].items():
-                                    acc[col] = acc.get(col, 0) + bw * val
-                    acc = {col: val for col, val in acc.items() if val}
-                    fs[u].append(acc or empty)
-                    stored += len(acc)
+                    if n:
+                        fs = f[s]
+                        for w, bw in b[s][u].items():
+                            # bw[0] is 0, so pair bw[n..0] with F_s[w][0..].
+                            bw = bw[::-1]
+                            for col, values in fs[w].items():
+                                acc[col] = acc.get(col, 0) + sum(map(mul, bw, values))
+                    stored += extend(f[s][u], acc, n)
             if n == 0:
                 continue
             total = 0
             for c, gc in enumerate(g):
                 acc = {}
-                for k in range(1, n + 1):
-                    grow = gc[n - k]
-                    if grow:
-                        for w, gw in grow.items():
-                            for col, val in k_hist[w][k].items():
-                                acc[col] = acc.get(col, 0) + gw * val
-                acc = {col: val for col, val in acc.items() if val}
-                gc.append(acc or empty)
-                stored += len(acc)
+                for w, gw in gc.items():
+                    # K[w][col][0] is 0, so pair K[w][col][0..n] with
+                    # 0, G[c][w][n-1..0].
+                    gw = [0] + gw[::-1]
+                    for col, values in k_hist[w].items():
+                        acc[col] = acc.get(col, 0) + sum(map(mul, values, gw))
                 total += acc.get(c, 0)
+                stored += extend(gc, acc, n)
             counts.append(total)
             if stored > max_terms:
                 raise ResourceLimitError(

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from fgzeta.cli import (MAX_DIMENSION, format_matrix_document, main,
-                        parse_matrix_document)
+from fgzeta.cli import (MAX_DIMENSION, check_builtin_size,
+                        format_matrix_document, main, parse_matrix_document)
 from fgzeta.errors import ParseError, ResourceLimitError
 from fgzeta.guess import MAX_POWER_WORK
 from fgzeta.families import build_kontsevich, build_two_by_two
@@ -239,6 +239,28 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert "3000" in err and f"MAX_DIMENSION = {MAX_DIMENSION}" in err
+
+    @pytest.mark.parametrize("name,limit", [
+        ("kontsevich:100000000", f"MAX_DOCUMENT_LETTERS = {MAX_DOCUMENT_LETTERS}"),
+        ("paperdxd:100000", f"MAX_DIMENSION = {MAX_DIMENSION}"),
+        ("paperdxd:400", f"MAX_DOCUMENT_LETTERS = {MAX_DOCUMENT_LETTERS}")])
+    def test_oversized_builtin_is_refused_before_it_is_built(self, name, limit):
+        # building either of the first two ended in a MemoryError traceback
+        import fgzeta
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(fgzeta.__file__).resolve().parent.parent))
+        result = subprocess.run(
+            [sys.executable, "-m", "fgzeta", "an", "--builtin", name,
+             "--order", "2"],
+            capture_output=True, text=True, env=env, timeout=2)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert name in result.stderr and limit in result.stderr
+
+    def test_largest_builtins_pass_the_size_check(self):
+        check_builtin_size(f"kontsevich:{MAX_DOCUMENT_LETTERS // 2}")
+        check_builtin_size("paperdxd:316")
 
     def test_huge_polynomial_y_degree_is_refused_up_front(self, capsys):
         poly = "1 * t^0 * y^100000000"

@@ -225,6 +225,12 @@ class TestEulerProduct:
         with pytest.raises(ResourceLimitError):
             euler_product(build_two_by_two(), 6, node_bound=10)
 
+    def test_guard_names_the_length_flag(self):
+        with pytest.raises(ResourceLimitError,
+                           match=r"^length 6 \(--length\) exceeds the "
+                                 "enumeration bound of 10 "):
+            euler_product(build_two_by_two(), 6, node_bound=10)
+
     def test_matches_rational_division_over_all_lyndon_words(self, rng):
         # oracle: Duval's Lyndon words and cycle_weight, not the pruned
         # walk, with one exact series division per nonzero factor

@@ -84,6 +84,15 @@ class TestAgainstOracles:
         expected = integer_coeffs(log_derivative(closed_zeta(f"kontsevich:{n}", 120)))
         assert trace_counts(build_kontsevich(n), 120) == expected
 
+    def test_many_letters_against_closed_zeta(self):
+        # one state with 400 steps and 400 unknowns
+        expected = integer_coeffs(log_derivative(closed_zeta("kontsevich:200", 40)))
+        assert trace_counts(build_kontsevich(200), 40) == expected
+
+    def test_eight_by_eight_against_closed_generating_series(self):
+        expected = integer_coeffs(closed_generating_series("paperdxd:8", 100))
+        assert trace_counts(build_d_by_d(8), 100) == expected
+
 
 class TestSystem:
     def test_words_expand_into_single_letter_steps(self):
@@ -119,6 +128,32 @@ class TestGuards:
         assert system.work_estimate(200) < WORK_LIMIT
         with pytest.raises(ResourceLimitError, match="order 1000000"):
             trace_counts(build_d_by_d(8), 1_000_000)
+
+    @pytest.mark.parametrize("name,order,smallest", [
+        ("kontsevich:1", 30, 61), ("paper2x2", 10, 82), ("paper2x2", 60, 482),
+        ("paperdxd:3", 20, 303), ("kontsevich:3", 40, 281)])
+    def test_term_ceiling_counts_the_stored_terms(self, name, order, smallest):
+        # The smallest ceiling that passes: every nonzero F, B, K and G
+        # coefficient, except a K or B row that copies one F row.
+        m = builtin_matrix(name)
+        assert len(trace_counts(m, order, max_terms=smallest)) == order
+        with pytest.raises(ResourceLimitError,
+                           match=f"^term ceiling {smallest - 1} exceeded at power "
+                                 r"\d+ \(\d+ stored series terms\); raise the "
+                                 "ceiling or lower the order$"):
+            trace_counts(m, order, max_terms=smallest - 1)
+
+    def test_term_ceiling_skips_rows_that_copy_one_f_row(self):
+        # the intermediate states of two-letter words have one step each
+        table = GeneratorTable(["x", "y"])
+        x, y = 1, 2
+        m = AlgebraMatrix([
+            [AlgebraElement({(x, y): 1, (-x,): 1}), AlgebraElement({(-y, -x): 1})],
+            [AlgebraElement({(x,): 1}), AlgebraElement({(y, -x): 2, (): 1})],
+        ], table)
+        assert trace_counts(m, 12, max_terms=455)[-1] == 3035
+        with pytest.raises(ResourceLimitError, match="term ceiling 454 "):
+            trace_counts(m, 12, max_terms=454)
 
     def test_term_ceiling_is_checked_per_degree(self):
         m = build_kontsevich(1)
