@@ -9,7 +9,7 @@ grow exponentially even when the final counts stay small.
 from . import _kernel
 from .errors import ParseError
 from .words import (GeneratorTable, LetterBudget, Word, concat, format_word,
-                    free_reduce, invert, parse_word, word_sort_key)
+                    invert, parse_word, word_sort_key)
 
 
 class AlgebraElement:
@@ -27,14 +27,6 @@ class AlgebraElement:
     @classmethod
     def one(cls) -> "AlgebraElement":
         return cls({(): 1})
-
-    @classmethod
-    def from_word(cls, w: Word, coeff: int = 1) -> "AlgebraElement":
-        return cls({tuple(w): coeff})
-
-    @classmethod
-    def from_letters(cls, letters, coeff: int = 1) -> "AlgebraElement":
-        return cls({free_reduce(letters): coeff})
 
     def coeff(self, w: Word) -> int:
         return self.terms.get(tuple(w), 0)
@@ -87,9 +79,9 @@ class AlgebraElement:
         Equals sum over g of self(g) * other(g^-1); cheap symmetric form
         of the full convolution.
         """
-        small, big, flip = self.terms, other.terms, False
+        small, big = self.terms, other.terms
         if len(big) < len(small):
-            small, big, flip = big, small, True
+            small, big = big, small
         total = 0
         for w, c in small.items():
             d = big.get(invert(w))

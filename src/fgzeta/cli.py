@@ -23,8 +23,8 @@ from .families import (D_BY_D, KONTSEVICH, builtin_matrix,
                        random_reduced_word)
 from .guess import (evaluate_at_series, format_bivariate, guess_annihilator,
                     parse_bivariate, required_order)
-from .matrix import (DEFAULT_PATH_BOUND, DEFAULT_TERM_LIMIT, AlgebraMatrix,
-                     power_trace_counts, trace_count_by_paths, trace_counts)
+from .matrix import (DEFAULT_TERM_LIMIT, AlgebraMatrix, power_trace_counts,
+                     trace_count_by_paths, trace_counts)
 from .series import TruncatedSeries, format_series, generating_series, zeta_series
 from .words import (MAX_DOCUMENT_LETTERS, GeneratorTable, LetterBudget, concat,
                     invert)
@@ -34,18 +34,15 @@ class RunConfig:
     """Documented defaults for every knob the subcommands share."""
 
     def __init__(self, order: int = 10, length: int = 6, deg_t: int = 8,
-                 deg_y: int = 3, max_terms: int = DEFAULT_TERM_LIMIT,
-                 path_bound: int = DEFAULT_PATH_BOUND):
+                 deg_y: int = 3, max_terms: int = DEFAULT_TERM_LIMIT):
         self.order = order
         self.length = length
         self.deg_t = deg_t
         self.deg_y = deg_y
         self.max_terms = max_terms
-        self.path_bound = path_bound
 
     def validate(self):
-        for name in ("order", "length", "deg_t", "deg_y", "max_terms",
-                     "path_bound"):
+        for name in ("order", "length", "deg_t", "deg_y", "max_terms"):
             if getattr(self, name) < 1:
                 raise ValidationError(f"{name} must be positive")
 
@@ -230,14 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_matrix_options(p, default_order="10"):
+        """``default_order`` None registers no ``--order``."""
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--matrix", metavar="FILE",
                          help="matrix document ('-' reads stdin)")
         src.add_argument("--builtin", metavar="NAME",
                          help="built-in matrix: kontsevich:<n>, paper2x2, "
                               "paperdxd:<d>")
-        p.add_argument("--order", type=int,
-                       help=f"truncation order N (default {default_order})")
+        if default_order is not None:
+            p.add_argument("--order", type=int,
+                           help=f"truncation order N (default {default_order})")
         p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_LIMIT,
                        help="ceiling on the stored series terms of the "
                             "count engine")
@@ -253,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_euler = sub.add_parser(
         "euler", help="print the Euler product and compare with zeta")
-    add_matrix_options(p_euler)
+    add_matrix_options(p_euler, default_order=None)
     p_euler.add_argument("--length", type=int, default=6,
                          help="maximal primitive word length L (default 6)")
 
@@ -281,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from(args) -> RunConfig:
     config = RunConfig()
-    if hasattr(args, "order"):
-        if args.order is not None:
-            config.order = args.order
+    if getattr(args, "order", None) is not None:
+        config.order = args.order
+    if hasattr(args, "max_terms"):
         config.max_terms = args.max_terms
     if getattr(args, "length", None) is not None:
         config.length = args.length

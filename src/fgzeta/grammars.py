@@ -67,9 +67,6 @@ class TruncatedNCSeries:
                 and self.max_len == other.max_len
                 and self.terms == other.terms)
 
-    def words(self) -> list[tuple[str, ...]]:
-        return sorted(self.terms, key=lambda w: (len(w), w))
-
 
 def parse_system(text: str) -> ProperSystem:
     """Parse lines like ``xi1 = a xi1 xi1 + b``.

@@ -57,17 +57,10 @@ class BivariatePolynomial:
         """
         if not self.coeffs:
             return self
-        content = 0
-        for c in self.coeffs.values():
-            content = math.gcd(content, abs(c))
         t_shift = min(i for i, _ in self.coeffs)
         y_shift = min(j for _, j in self.coeffs)
-        out = {(i - t_shift, j - y_shift): c // content
-               for (i, j), c in self.coeffs.items()}
-        lead = max(out, key=lambda ij: (ij[1], ij[0]))
-        if out[lead] < 0:
-            out = {k: -c for k, c in out.items()}
-        return BivariatePolynomial(out)
+        return _content_sign_only(BivariatePolynomial(
+            {(i - t_shift, j - y_shift): c for (i, j), c in self.coeffs.items()}))
 
     def rescale_t(self, factor: int) -> "BivariatePolynomial":
         """Substitute t -> factor*t."""
@@ -382,6 +375,8 @@ def _kernel_candidate(f, powers, dt, dy):
 
 
 def _content_sign_only(p: BivariatePolynomial) -> BivariatePolynomial:
+    """``p`` divided by its integer content, with the coefficient of its
+    largest (y_degree, t_degree) monomial made positive."""
     content = 0
     for c in p.coeffs.values():
         content = math.gcd(content, abs(c))

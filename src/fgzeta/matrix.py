@@ -46,9 +46,6 @@ class AlgebraMatrix:
                  for j in range(dim)] for i in range(dim)]
         return cls(rows, table)
 
-    def __matmul__(self, other: "AlgebraMatrix") -> "AlgebraMatrix":
-        return self.multiply(other)
-
     def multiply(self, other: "AlgebraMatrix", max_len: int = -1) -> "AlgebraMatrix":
         """Row-by-column product; entry order preserved (noncommutative)."""
         if self.dim != other.dim:
@@ -148,10 +145,11 @@ def trace_counts(m: AlgebraMatrix, count: int,
     """Identity coefficients of Tr(M^n) for n = 1..count.
 
     Solved from the first-passage system, one degree at a time.  The
-    term ceiling bounds the stored nonzero series coefficients and is
-    checked after each degree; a ResourceLimitError names the degree as
-    the power reached.  An order whose estimated work exceeds
-    :data:`fgzeta.passage.WORK_LIMIT` is refused before any work.
+    term ceiling bounds the series entries the system stores, zeros
+    included, and is checked after each degree; a ResourceLimitError
+    names the degree as the power reached.  An order whose estimated
+    work exceeds :data:`fgzeta.passage.WORK_LIMIT` is refused before any
+    work.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")

@@ -32,7 +32,7 @@ of the s-steps of u, which the index lists; the ``A_s`` term of
 constant number of times, not once per unknown.
 """
 
-from operator import countOf, mul
+from operator import mul
 from typing import NamedTuple
 
 from .errors import ResourceLimitError, ValidationError
@@ -125,7 +125,8 @@ class FirstPassageSystem:
             by_letter.append(index)
         # Histories indexed [state], each {col: [c_0, c_1, ...]}: one dense
         # list per column, one entry per solved degree.  B[s][u] is K[u]
-        # (the same dict) unless state u has an s-step.
+        # (the same dict) unless state u has an s-step.  ``stored`` is the
+        # total length of the distinct lists, zeros included.
         f = {s: [{} for _ in states] for s in unknowns}
         k_hist = [{} for _ in states]
         b = {s: [{} if s in by_letter[u] else k_hist[u] for u in states]
@@ -136,42 +137,27 @@ class FirstPassageSystem:
 
         def extend(hist, row, n):
             """Append degree n, the values in ``row``, to ``hist``; return
-            the number of nonzero values."""
-            nonzero = len(row) - countOf(row.values(), 0)
+            the number of entries appended, ``n + 1`` for a new column."""
+            appended = len(hist)
             for col, values in hist.items():
                 values.append(row.pop(col, 0))
             for col, val in row.items():
                 if val:
                     hist[col] = [0] * n + [val]
-            return nonzero
-
-        def copied(parts, skip, dropped):
-            """Whether the row summed from ``parts`` less the ``dropped`` ones
-            of letter ``skip`` is empty or a plain copy: one part, of
-            coefficient 1.  Such a row is not counted again."""
-            rest = len(parts) - dropped
-            if rest != 1:
-                return rest == 0
-            return next(c for x, c in parts if x != skip) == 1
+                    appended += n + 1
+            return appended
 
         def add_passages(row, group, hist, n, sign):
             """Add ``sign * c * [t^(n - degree)] hist[v]`` to ``row`` for each
-            step (c, degree, v) of ``group``; return the coefficients of the
-            steps that added a nonzero term."""
-            added = []
+            step (c, degree, v) of ``group``."""
             for c, degree, v in group:
                 m = n - degree
                 if m < 0:
                     continue
-                part = False
                 for col, values in hist[v].items():
                     val = values[m]
                     if val:
                         row[col] = row.get(col, 0) + sign * c * val
-                        part = True
-                if part:
-                    added.append(c)
-            return added
 
         for n in range(count + 1):
             # Steps from original states carry t, so their rows read lower
@@ -181,20 +167,15 @@ class FirstPassageSystem:
             # k start at 1 and read only degrees below n of F and G.
             for u in self.solve_order:
                 index = by_letter[u]
-                # [t^n] of row u of K, and the (letter, coeff) of each step
-                # that adds to it: an identity step of degree n, or a step
-                # whose F row is nonzero at degree n - degree.
+                # [t^n] of row u of K.
                 krow = {}
-                parts = []
                 for x, group in index.items():
                     if not x:
                         for c, degree, v in group:
                             if degree == n:
                                 krow[v] = krow.get(v, 0) + c
-                                parts.append((0, c))
                     elif x in f:
-                        parts += [(x, c) for c in
-                                  add_passages(krow, group, f[-x], n, 1)]
+                        add_passages(krow, group, f[-x], n, 1)
                 if n == 0 and any(krow.values()):
                     raise ValidationError(
                         "support words must be freely reduced: the excursion "
@@ -203,13 +184,9 @@ class FirstPassageSystem:
                 for s, group in index.items():
                     if s in f:
                         row = dict(krow)
-                        dropped = len(add_passages(row, group, f[-s], n, -1))
-                        fresh = extend(b[s][u], row, n)
-                        if not copied(parts, s, dropped):
-                            stored += fresh
-                fresh = extend(k_hist[u], krow, n)
-                if not copied(parts, None, 0):
-                    stored += fresh
+                        add_passages(row, group, f[-s], n, -1)
+                        stored += extend(b[s][u], row, n)
+                stored += extend(k_hist[u], krow, n)
                 for s in unknowns:
                     acc = {}
                     for c, degree, v in index.get(s, ()):

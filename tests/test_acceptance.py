@@ -58,7 +58,7 @@ def binom(n, k):
     return out
 
 
-@criterion(1, "2x2 golden trace counts to N=10, under 60 s with pruning")
+@criterion(1, "2x2 golden trace counts to N=10, under 60 s")
 def test_criterion_01_two_by_two_counts():
     start = time.monotonic()
     counts = trace_counts(build_two_by_two(), 10)

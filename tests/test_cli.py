@@ -172,6 +172,26 @@ class TestExitCodes:
         assert code == 2
         assert "validation error" in err
 
+    @pytest.mark.parametrize("command,flag,name", [
+        ("an", "--order", "order"), ("euler", "--length", "length"),
+        ("guess", "--degt", "deg_t"), ("guess", "--degy", "deg_y"),
+        ("an", "--max-terms", "max_terms")])
+    def test_nonpositive_flag_is_2(self, capsys, command, flag, name):
+        code, out, err = run(capsys, command, "--builtin", "kontsevich:1",
+                             flag, "0")
+        assert code == 2
+        assert out == ""
+        assert err == f"validation error: {name} must be positive\n"
+
+    def test_euler_refuses_order(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["euler", "--builtin", "kontsevich:1", "--order", "50",
+                  "--length", "4"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --order 50" in captured.err
+
     def test_missing_file_is_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "an", "--matrix",
                            str(tmp_path / "absent.txt"))

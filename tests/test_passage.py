@@ -141,12 +141,15 @@ class TestGuards:
             trace_counts(build_d_by_d(8), 1_000_000)
 
     @pytest.mark.parametrize("name,order,smallest", [
-        ("kontsevich:1", 30, 61), ("paper2x2", 10, 82), ("paper2x2", 60, 482),
-        ("paperdxd:3", 20, 303), ("kontsevich:3", 40, 281),
-        ("two-letter words", 12, 455)])
+        ("kontsevich:1", 30, 186), ("paper2x2", 10, 176), ("paper2x2", 60, 976),
+        ("paperdxd:3", 20, 630), ("kontsevich:3", 40, 574),
+        ("two-letter words", 12, 793)] + [
+        # F_x, F_{x^-1}, B_x and B_{x^-1} per generator, plus K and G:
+        # 4n + 2 lists of N + 1 entries each.
+        (f"kontsevich:{n}", 17, (4 * n + 2) * (17 + 1)) for n in range(1, 5)])
     def test_term_ceiling_counts_the_stored_terms(self, name, order, smallest):
-        # The smallest ceiling that passes: every nonzero F, B, K and G
-        # coefficient, except a K or B row that copies one F row.
+        # The smallest ceiling that passes: every entry of every F, B_s, K
+        # and G list, zeros and lists that copy another included.
         m = two_letter_words() if name == "two-letter words" else builtin_matrix(name)
         assert len(trace_counts(m, order, max_terms=smallest)) == order
         with pytest.raises(ResourceLimitError,
@@ -159,4 +162,4 @@ class TestGuards:
         m = build_kontsevich(1)
         assert trace_counts(m, 30, max_terms=200) == trace_counts(m, 30)
         with pytest.raises(ResourceLimitError, match="power 2"):
-            trace_counts(m, 30, max_terms=4)
+            trace_counts(m, 30, max_terms=10)
