@@ -21,8 +21,7 @@ from .grammars import (ProperSystem, TruncatedNCSeries, is_lukasiewicz_word,
                        parse_system, solve_truncated)
 from .guess import (BivariatePolynomial, evaluate_at_series, exact_kernel,
                     format_bivariate, guess_annihilator, parse_bivariate)
-from .matrix import (AlgebraMatrix, scalar_matrix, trace_count_by_paths,
-                     trace_counts)
+from .matrix import AlgebraMatrix, trace_count_by_paths, trace_counts
 from .series import (TruncatedSeries, format_series, generating_series,
                      log_derivative, zeta_series)
 from .words import (GeneratorTable, concat, format_word, invert, parse_word,
@@ -74,7 +73,6 @@ __all__ = [
     "parse_word",
     "reduce_word",
     "rooted_loop_series",
-    "scalar_matrix",
     "solve_truncated",
     "trace_count_by_paths",
     "trace_counts",

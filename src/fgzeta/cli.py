@@ -30,23 +30,6 @@ from .words import (MAX_DOCUMENT_LETTERS, GeneratorTable, LetterBudget, concat,
                     invert)
 
 
-class RunConfig:
-    """Documented defaults for every knob the subcommands share."""
-
-    def __init__(self, order: int = 10, length: int = 6, deg_t: int = 8,
-                 deg_y: int = 3, max_terms: int = DEFAULT_TERM_LIMIT):
-        self.order = order
-        self.length = length
-        self.deg_t = deg_t
-        self.deg_y = deg_y
-        self.max_terms = max_terms
-
-    def validate(self):
-        for name in ("order", "length", "deg_t", "deg_y", "max_terms"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be positive")
-
-
 # Largest matrix document dimension; the parser allocates dim^2 entries
 # before it reads any of them.
 MAX_DIMENSION = 500
@@ -153,64 +136,70 @@ def _emit(text: str):
     sys.stdout.write(text + "\n")
 
 
-def _counts(m, config: RunConfig, order=None):
-    return trace_counts(m, order if order is not None else config.order,
-                        max_terms=config.max_terms)
+def _counts(args):
+    return trace_counts(_load_matrix(args), args.order,
+                        max_terms=args.max_terms)
 
 
-def cmd_an(args, config: RunConfig) -> int:
-    counts = _counts(_load_matrix(args), config)
+def cmd_an(args) -> int:
+    counts = _counts(args)
     for n, c in enumerate(counts, start=1):
         _emit(f"{n}: {c}")
     return 0
 
 
-def cmd_g(args, config: RunConfig) -> int:
-    counts = _counts(_load_matrix(args), config)
+def cmd_g(args) -> int:
+    counts = _counts(args)
     _emit(format_series(generating_series(counts)))
     return 0
 
 
-def cmd_zeta(args, config: RunConfig) -> int:
-    counts = _counts(_load_matrix(args), config)
+def cmd_zeta(args) -> int:
+    counts = _counts(args)
     _emit(format_series(zeta_series(counts)))
     return 0
 
 
-def cmd_euler(args, config: RunConfig) -> int:
+def cmd_euler(args) -> int:
     m = _load_matrix(args)
-    product = euler_product(m, config.length)
-    pipeline = zeta_series(_counts(m, config, order=config.length))
+    product = euler_product(m, args.length)
+    try:
+        counts = trace_counts(m, args.length, max_terms=args.max_terms)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(
+            f"the verdict runs the count engine to order {args.length} "
+            f"(--length): {exc}") from None
+    pipeline = zeta_series(counts)
     _emit(format_series(product))
     if product == pipeline:
-        _emit(f"EQUAL to order {config.length}")
+        _emit(f"EQUAL to order {args.length}")
     else:
-        _emit(f"NOT EQUAL to order {config.length}")
+        _emit(f"NOT EQUAL to order {args.length}")
     return 0
 
 
-def _target_series(m, config: RunConfig, target: str):
-    counts = _counts(m, config)
-    if target == "g":
+def _target_series(args):
+    counts = _counts(args)
+    if args.target == "g":
         return generating_series(counts)
     return zeta_series(counts)
 
 
-def cmd_guess(args, config: RunConfig) -> int:
-    f = _target_series(_load_matrix(args), config, args.target)
-    p = guess_annihilator(f, config.deg_t, config.deg_y)
+def cmd_guess(args) -> int:
+    f = _target_series(args)
+    p = guess_annihilator(f, args.deg_t, args.deg_y)
     _emit("none" if p is None else format_bivariate(p))
     return 0
 
 
-def cmd_verify(args, config: RunConfig) -> int:
+def cmd_verify(args) -> int:
     if args.poly_file:
         with open(args.poly_file, encoding="utf-8") as handle:
             poly_text = handle.read()
     else:
         poly_text = args.poly
     p = parse_bivariate(poly_text)
-    f = _target_series(_load_matrix(args), config, args.target)
+    f = _target_series(args)
     residue = evaluate_at_series(p, f)
     if residue.is_zero():
         _emit(f"ANNIHILATES to order {f.order}")
@@ -226,17 +215,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact zeta series of matrices over free group algebras")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_matrix_options(p, default_order="10"):
-        """``default_order`` None registers no ``--order``."""
+    def add_matrix_options(p, default_order=10, shown_order="10"):
+        """``shown_order`` None registers no ``--order``."""
         src = p.add_mutually_exclusive_group(required=True)
         src.add_argument("--matrix", metavar="FILE",
                          help="matrix document ('-' reads stdin)")
         src.add_argument("--builtin", metavar="NAME",
                          help="built-in matrix: kontsevich:<n>, paper2x2, "
                               "paperdxd:<d>")
-        if default_order is not None:
-            p.add_argument("--order", type=int,
-                           help=f"truncation order N (default {default_order})")
+        if shown_order is not None:
+            p.add_argument("--order", type=int, default=default_order,
+                           help=f"truncation order N (default {shown_order})")
         p.add_argument("--max-terms", type=int, default=DEFAULT_TERM_LIMIT,
                        help="ceiling on the stored series terms of the "
                             "count engine")
@@ -252,19 +241,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_euler = sub.add_parser(
         "euler", help="print the Euler product and compare with zeta")
-    add_matrix_options(p_euler, default_order=None)
+    add_matrix_options(p_euler, shown_order=None)
     p_euler.add_argument("--length", type=int, default=6,
                          help="maximal primitive word length L (default 6)")
 
     p_guess = sub.add_parser(
         "guess", help="search for an annihilating polynomial")
-    add_matrix_options(p_guess, default_order="(degt+1)(degy+1)+8")
+    add_matrix_options(p_guess, None, "(degt+1)(degy+1)+8")
     p_guess.add_argument("--target", choices=("p", "g"), default="p",
                          help="annihilate the zeta (p) or generating (g) series")
-    p_guess.add_argument("--degt", type=int, default=8,
-                         help="t-degree bound (default 8)")
-    p_guess.add_argument("--degy", type=int, default=3,
-                         help="y-degree bound (default 3)")
+    p_guess.add_argument("--degt", type=int, default=8, dest="deg_t",
+                         metavar="DEGT", help="t-degree bound (default 8)")
+    p_guess.add_argument("--degy", type=int, default=3, dest="deg_y",
+                         metavar="DEGY", help="y-degree bound (default 3)")
 
     p_verify = sub.add_parser(
         "verify", help="check that a polynomial annihilates the series")
@@ -276,23 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("selfcheck", help="run the built-in invariant suite")
     return parser
-
-
-def _config_from(args) -> RunConfig:
-    config = RunConfig()
-    if getattr(args, "order", None) is not None:
-        config.order = args.order
-    if hasattr(args, "max_terms"):
-        config.max_terms = args.max_terms
-    if getattr(args, "length", None) is not None:
-        config.length = args.length
-    if hasattr(args, "degt"):
-        config.deg_t = args.degt
-        config.deg_y = args.degy
-        if args.order is None:
-            config.order = required_order(args.degt, args.degy)
-    config.validate()
-    return config
 
 
 def main(argv=None) -> int:
@@ -308,8 +280,13 @@ def main(argv=None) -> int:
         "selfcheck": cmd_selfcheck,
     }
     try:
-        config = _config_from(args)
-        return handlers[args.command](args, config)
+        for name in ("order", "length", "deg_t", "deg_y", "max_terms"):
+            value = getattr(args, name, None)
+            if value is not None and value < 1:
+                raise ValidationError(f"{name} must be positive")
+        if args.command == "guess" and args.order is None:
+            args.order = required_order(args.deg_t, args.deg_y)
+        return handlers[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 1
@@ -332,7 +309,7 @@ def script_main():
 # selfcheck
 
 
-def cmd_selfcheck(args, config: RunConfig) -> int:
+def cmd_selfcheck(args) -> int:
     rng = random.Random(12345)
     failures = []
 
@@ -436,7 +413,6 @@ def cmd_selfcheck(args, config: RunConfig) -> int:
 
 __all__ = [
     "MAX_DIMENSION",
-    "RunConfig",
     "build_parser",
     "format_matrix_document",
     "main",

@@ -19,6 +19,10 @@ from .words import Word, concat, word_sort_key
 
 DEFAULT_NODE_BOUND = 20_000_000
 
+# Longest chain the closed-chain walk takes: it recurses once per letter,
+# so this stays well under the interpreter's recursion limit (1000).
+MAX_CHAIN_LENGTH = 500
+
 
 class Letter(NamedTuple):
     """One transition: ``word`` appears in entry (row, col) of the matrix."""
@@ -79,10 +83,10 @@ def cycle_weight(m: AlgebraMatrix, letters) -> int:
 
 
 def _closed_chains(m: AlgebraMatrix, max_length: int, node_bound: int,
-                   lyndon: bool) -> list[tuple[tuple[int, ...], int]]:
-    """Closed letter chains of length 1..max_length with their weights.
+                   lyndon: bool) -> list[tuple[int, int]]:
+    """(length, weight) of each closed letter chain of length 1..max_length.
 
-    A chain is a tuple of indices into ``alphabet_of(m)``; it is closed
+    A chain is a sequence of indices into ``alphabet_of(m)``; it is closed
     when each letter's column is the next letter's row, the last letter's
     column is the first letter's row, and the group product of the words
     is the identity.  Only index-chained sequences can weigh anything, so
@@ -92,8 +96,14 @@ def _closed_chains(m: AlgebraMatrix, max_length: int, node_bound: int,
     only Lyndon chains are kept, and branches that cannot be a prefix of
     one are pruned: every prefix of a Lyndon word is a prenecklace, and a
     prenecklace with period ``p`` extends by a letter ``x`` exactly when
-    ``x >= chain[-p]`` (Fredricksen-Kessler-Maiorana).
+    ``x >= chain[-p]`` (Fredricksen-Kessler-Maiorana).  A max_length over
+    MAX_CHAIN_LENGTH is refused before the walk.
     """
+    if max_length > MAX_CHAIN_LENGTH:
+        raise ResourceLimitError(
+            f"length {max_length} (--length) exceeds the closed-chain "
+            f"walk's depth limit MAX_CHAIN_LENGTH = {MAX_CHAIN_LENGTH}; "
+            "lower the length")
     alphabet = alphabet_of(m)
     l_max = max((len(a.word) for a in alphabet), default=0)
     by_row: dict[int, list[tuple[int, int, Word, int]]] = {}
@@ -101,7 +111,7 @@ def _closed_chains(m: AlgebraMatrix, max_length: int, node_bound: int,
         c = m.entries[letter.row - 1][letter.col - 1].terms[letter.word]
         by_row.setdefault(letter.row, []).append((idx, letter.col, letter.word, c))
     visited = 0
-    chains: list[tuple[tuple[int, ...], int]] = []
+    chains: list[tuple[int, int]] = []
     chain: list[int] = []
 
     def extend(start_row: int, row: int, product: Word, coeff: int,
@@ -115,7 +125,7 @@ def _closed_chains(m: AlgebraMatrix, max_length: int, node_bound: int,
         depth = len(chain)
         if depth and row == start_row and not product and (
                 not lyndon or period == depth):
-            chains.append((tuple(chain), coeff))
+            chains.append((depth, coeff))
         if depth == max_length:
             return
         budget = (max_length - depth - 1) * l_max
@@ -144,8 +154,8 @@ def cycle_weight_sum(m: AlgebraMatrix, length: int,
     """Total weight over all letter sequences of the given length."""
     if length < 1:
         raise ValidationError("length must be >= 1")
-    return sum(coeff for chain, coeff in _closed_chains(m, length, node_bound, False)
-               if len(chain) == length)
+    chains = _closed_chains(m, length, node_bound, False)
+    return sum(coeff for n, coeff in chains if n == length)
 
 
 def lyndon_words(alphabet, max_length: int) -> list[tuple]:
@@ -184,23 +194,22 @@ def euler_product(m: AlgebraMatrix, max_length: int,
     so only closed Lyndon chains are enumerated.  Weights are integers,
     so each factor is one integer update of the coefficient list:
     multiplying by 1/(1 - w t^l) = 1 + w t^l + w^2 t^2l + ... sends
-    out[k] to out[k] + w * out[k - l], in increasing k.  Factors apply in
-    increasing (length, lexicographic) order.
+    out[k] to out[k] + w * out[k - l], in increasing k.  These exact
+    updates commute, so factors apply in the order the walk finds them.
     """
     if max_length < 1:
         raise ValidationError("max_length must be >= 1")
-    factors = _closed_chains(m, max_length, node_bound, True)
-    factors.sort(key=lambda item: (len(item[0]), item[0]))
     out = [1] + [0] * max_length
-    for word, weight in factors:
-        for k in range(len(word), max_length + 1):
-            out[k] += weight * out[k - len(word)]
+    for length, weight in _closed_chains(m, max_length, node_bound, True):
+        for k in range(length, max_length + 1):
+            out[k] += weight * out[k - length]
     return TruncatedSeries(out, max_length)
 
 
 __all__ = [
     "DEFAULT_NODE_BOUND",
     "Letter",
+    "MAX_CHAIN_LENGTH",
     "alphabet_of",
     "cycle_weight",
     "cycle_weight_sum",

@@ -135,11 +135,6 @@ class AlgebraMatrix:
         return f"<AlgebraMatrix {self.dim}x{self.dim}, {self.term_count()} terms>"
 
 
-def scalar_matrix(k: int, m: AlgebraMatrix) -> AlgebraMatrix:
-    """Entrywise scalar multiple k*M."""
-    return m.scale(k)
-
-
 def trace_counts(m: AlgebraMatrix, count: int,
                  max_terms: int = DEFAULT_TERM_LIMIT) -> list[int]:
     """Identity coefficients of Tr(M^n) for n = 1..count.
@@ -228,7 +223,6 @@ __all__ = [
     "DEFAULT_PATH_BOUND",
     "DEFAULT_TERM_LIMIT",
     "power_trace_counts",
-    "scalar_matrix",
     "trace_count_by_paths",
     "trace_counts",
 ]

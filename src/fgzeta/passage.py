@@ -33,7 +33,6 @@ constant number of times, not once per unknown.
 """
 
 from operator import mul
-from typing import NamedTuple
 
 from .errors import ResourceLimitError, ValidationError
 
@@ -48,51 +47,43 @@ from .errors import ResourceLimitError, ValidationError
 WORK_LIMIT = 100_000_000_000
 
 
-class Step(NamedTuple):
-    """One edge of the expanded graph: ``letter`` 0 is the identity word."""
-
-    letter: int
-    coeff: int
-    degree: int
-    target: int
-
-
 class FirstPassageSystem:
     """The expanded graph of a matrix and the unknowns of its system.
 
     States ``0..dim-1`` are the matrix indices; states from ``dim`` up to
     ``size`` are the intermediate states of multi-letter words.
-    ``steps[u]`` lists the edges leaving state u.  An intermediate state
-    has exactly one, of degree 0.  ``unknowns`` are the letters s whose
-    ``F_s`` can be nonzero: s and s^-1 both occur.  ``solve_order`` lists
+    ``steps[u]`` is the letter index of the edges leaving state u,
+    ``{letter: [(coeff, degree, target)]}``, where letter 0 is the
+    identity word.  An intermediate state has exactly one edge, of
+    degree 0.  ``unknowns`` are the letters s whose ``F_s`` can be
+    nonzero: s and s^-1 both occur.  ``solve_order`` lists
     every state after the successor of its degree-0 edge, the order in
     which one degree of ``F`` can be solved.
     """
 
     def __init__(self, m):
         self.dim = m.dim
-        steps = [[] for _ in range(m.dim)]
+        steps = [{} for _ in range(m.dim)]
         intermediate = []
         for i, row in enumerate(m.entries):
             for j, entry in enumerate(row):
                 for word, coeff in entry.terms.items():
-                    if not word:
-                        steps[i].append(Step(0, coeff, 1, j))
-                        continue
                     source, c, degree = i, coeff, 1
                     fresh = []
                     for x in word[:-1]:
                         target = len(steps)
-                        steps.append([])
-                        steps[source].append(Step(x, c, degree, target))
+                        steps.append({})
+                        steps[source].setdefault(x, []).append(
+                            (c, degree, target))
                         source, c, degree = target, 1, 0
                         fresh.append(source)
-                    steps[source].append(Step(word[-1], c, degree, j))
+                    last = word[-1] if word else 0
+                    steps[source].setdefault(last, []).append((c, degree, j))
                     intermediate.extend(reversed(fresh))
         self.size = len(steps)
-        self.steps = tuple(tuple(s) for s in steps)
+        self.steps = steps
         self.solve_order = tuple(range(m.dim)) + tuple(intermediate)
-        letters = {x for s in steps for x, _, _, _ in s if x}
+        letters = {x for index in steps for x in index if x}
         self.unknowns = tuple(sorted((s for s in letters if -s in letters),
                                      key=lambda s: (abs(s), s < 0)))
 
@@ -115,21 +106,15 @@ class FirstPassageSystem:
                 f"{WORK_LIMIT:.0e}; lower the order")
 
         unknowns = self.unknowns
+        steps = self.steps
         states = range(self.size)
-        # Each state's steps by letter: {letter: [(coeff, degree, target)]}.
-        by_letter = []
-        for u in states:
-            index = {}
-            for x, c, degree, v in self.steps[u]:
-                index.setdefault(x, []).append((c, degree, v))
-            by_letter.append(index)
         # Histories indexed [state], each {col: [c_0, c_1, ...]}: one dense
         # list per column, one entry per solved degree.  B[s][u] is K[u]
         # (the same dict) unless state u has an s-step.  ``stored`` is the
         # total length of the distinct lists, zeros included.
         f = {s: [{} for _ in states] for s in unknowns}
         k_hist = [{} for _ in states]
-        b = {s: [{} if s in by_letter[u] else k_hist[u] for u in states]
+        b = {s: [{} if s in steps[u] else k_hist[u] for u in states]
              for s in unknowns}
         g = [{c: [1]} for c in range(self.dim)]
         counts = []
@@ -166,7 +151,7 @@ class FirstPassageSystem:
             # K and every B have no constant term, so the convolutions over
             # k start at 1 and read only degrees below n of F and G.
             for u in self.solve_order:
-                index = by_letter[u]
+                index = steps[u]
                 # [t^n] of row u of K.
                 krow = {}
                 for x, group in index.items():

@@ -194,7 +194,7 @@ def test_criterion_10_proper_system():
     assert all(c == 1 for c in solution.terms.values())
 
 
-@criterion(11, "path oracle equals the power pipeline for n<=5 everywhere")
+@criterion(11, "path oracle equals the count engine for n<=5 everywhere")
 def test_criterion_11_oracle_equivalence():
     rng = random.Random(1101)
     matrices = builtin_suite() + [random_matrix(rng) for _ in range(8)]

@@ -5,11 +5,15 @@ from pathlib import Path
 
 import pytest
 
+import fgzeta.cli
+import fgzeta.passage
 from fgzeta.cli import (MAX_DIMENSION, check_builtin_size,
                         format_matrix_document, main, parse_matrix_document)
+from fgzeta.cyclic import MAX_CHAIN_LENGTH
 from fgzeta.errors import ParseError, ResourceLimitError
-from fgzeta.guess import MAX_POWER_WORK
+from fgzeta.guess import MAX_POWER_WORK, required_order
 from fgzeta.families import build_kontsevich, build_two_by_two
+from fgzeta.matrix import trace_counts
 from fgzeta.passage import WORK_LIMIT
 from fgzeta.words import MAX_DOCUMENT_LETTERS, MAX_WORD_LENGTH
 
@@ -128,6 +132,20 @@ class TestSubcommands:
         assert out == ("-1 * t^0 * y^0 + 9 * t^2 * y^0 + 1 * t^0 * y^1 + "
                        "-12 * t^2 * y^1 + 24 * t^4 * y^1 + 16 * t^6 * y^2\n")
 
+    def test_guess_without_order_runs_at_the_required_order(self, capsys,
+                                                            monkeypatch):
+        orders = []
+
+        def recording(m, count, max_terms):
+            orders.append(count)
+            return trace_counts(m, count, max_terms=max_terms)
+
+        monkeypatch.setattr(fgzeta.cli, "trace_counts", recording)
+        code, _, err = run(capsys, "guess", "--builtin", "kontsevich:1",
+                           "--degt", "2", "--degy", "2")
+        assert (code, err) == (0, "")
+        assert orders == [required_order(2, 2)]
+
     def test_verify_accepts_true_certificate(self, capsys):
         poly = ("-1 * t^0 * y^0 + 9 * t^2 * y^0 + 1 * t^0 * y^1 + "
                 "-12 * t^2 * y^1 + 24 * t^4 * y^1 + 16 * t^6 * y^2")
@@ -173,15 +191,26 @@ class TestExitCodes:
         assert "validation error" in err
 
     @pytest.mark.parametrize("command,flag,name", [
-        ("an", "--order", "order"), ("euler", "--length", "length"),
+        *[(command, "--order", "order")
+          for command in ("an", "g", "zeta", "guess", "verify")],
+        ("euler", "--length", "length"),
         ("guess", "--degt", "deg_t"), ("guess", "--degy", "deg_y"),
-        ("an", "--max-terms", "max_terms")])
+        *[(command, "--max-terms", "max_terms")
+          for command in ("an", "g", "zeta", "euler", "guess", "verify")]])
     def test_nonpositive_flag_is_2(self, capsys, command, flag, name):
+        poly = ("--poly", "1 * t^0 * y^0") if command == "verify" else ()
         code, out, err = run(capsys, command, "--builtin", "kontsevich:1",
-                             flag, "0")
+                             *poly, flag, "0")
         assert code == 2
         assert out == ""
         assert err == f"validation error: {name} must be positive\n"
+
+    def test_negative_degree_bound_is_named_before_the_order(self, capsys):
+        # the default order (degt+1)(degy+1)+8 is -8 here
+        code, out, err = run(capsys, "guess", "--builtin", "kontsevich:1",
+                             "--degt", "-5")
+        assert (code, out) == (2, "")
+        assert err == "validation error: deg_t must be positive\n"
 
     def test_euler_refuses_order(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -203,6 +232,34 @@ class TestExitCodes:
                            "--order", "10", "--max-terms", "4")
         assert code == 3
         assert "resource limit" in err
+
+    def test_euler_guards_name_the_length(self, capsys, monkeypatch):
+        code, out, err = run(capsys, "euler", "--builtin", "kontsevich:1",
+                             "--length", "4", "--max-terms", "5")
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: the verdict runs the count "
+                              "engine to order 4 (--length): term ceiling 5 ")
+        monkeypatch.setattr(fgzeta.passage, "WORK_LIMIT", 1)
+        code, out, err = run(capsys, "euler", "--builtin", "kontsevich:1",
+                             "--length", "4")
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: the verdict runs the count "
+                              "engine to order 4 (--length): ")
+        assert "over the work limit 1e+00" in err
+
+    def test_length_past_the_chain_walk_is_refused(self):
+        # the recursive walk ended in a RecursionError traceback
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(fgzeta.__file__).resolve().parent.parent))
+        result = subprocess.run(
+            [sys.executable, "-m", "fgzeta", "euler", "--builtin",
+             "kontsevich:1", "--length", "1000"],
+            capture_output=True, text=True, env=env, timeout=2)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert "Traceback" not in result.stderr
+        assert "length 1000 (--length)" in result.stderr
+        assert f"MAX_CHAIN_LENGTH = {MAX_CHAIN_LENGTH}" in result.stderr
 
     def test_huge_order_is_refused_up_front(self, capsys):
         code, out, err = run(capsys, "an", "--builtin", "paperdxd:8",

@@ -2,9 +2,9 @@ from itertools import product
 
 import pytest
 
-from fgzeta.cyclic import (DEFAULT_NODE_BOUND, Letter, _closed_chains,
-                           alphabet_of, cycle_weight, cycle_weight_sum,
-                           euler_product, lyndon_words)
+from fgzeta.cyclic import (DEFAULT_NODE_BOUND, MAX_CHAIN_LENGTH, Letter,
+                           _closed_chains, alphabet_of, cycle_weight,
+                           cycle_weight_sum, euler_product, lyndon_words)
 from fgzeta.errors import ResourceLimitError, ValidationError
 from fgzeta.families import build_two_by_two, builtin_matrix
 from fgzeta.matrix import AlgebraMatrix, trace_counts
@@ -249,6 +249,28 @@ class TestEulerProduct:
             assert euler_product(m, length) == oracle
 
 
+class TestChainLengthLimit:
+    """The closed-chain walk recurses once per letter, so a length over
+    MAX_CHAIN_LENGTH is refused before the walk starts."""
+
+    @pytest.mark.parametrize("walk", [euler_product, cycle_weight_sum])
+    def test_refused_before_the_walk(self, walk):
+        length = MAX_CHAIN_LENGTH + 1
+        # node_bound=0 would trip at the walk's first node
+        with pytest.raises(ResourceLimitError,
+                           match=rf"^length {length} \(--length\) .* "
+                                 rf"MAX_CHAIN_LENGTH = {MAX_CHAIN_LENGTH};"):
+            walk(kontsevich_1x1(), length, node_bound=0)
+
+    def test_limit_is_reachable(self):
+        # one identity letter: the walk descends to the full length
+        table = GeneratorTable(["x"])
+        m = AlgebraMatrix([[parse_element("1", table)]], table)
+        assert euler_product(m, MAX_CHAIN_LENGTH) == TruncatedSeries(
+            [1] * (MAX_CHAIN_LENGTH + 1), MAX_CHAIN_LENGTH)
+        assert cycle_weight_sum(m, MAX_CHAIN_LENGTH) == 1
+
+
 class TestLyndonFactorCounts:
     """With unit coefficients every Lyndon factor weighs 1, so the number
     of factors of length n is (1/n) sum_{l | n} mu(n/l) a_l."""
@@ -264,7 +286,7 @@ class TestLyndonFactorCounts:
         for n in range(1, length + 1):
             expected = sum(moebius(n // l) * counts[l - 1]
                            for l in range(1, n + 1) if n % l == 0)
-            assert sum(1 for chain, _ in chains if len(chain) == n) * n == expected
+            assert sum(1 for length, _ in chains if length == n) * n == expected
 
     def test_two_by_two_total(self):
         chains = _closed_chains(build_two_by_two(), 12, DEFAULT_NODE_BOUND, True)

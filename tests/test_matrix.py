@@ -5,7 +5,7 @@ import pytest
 from fgzeta.algebra import AlgebraElement, parse_element
 from fgzeta.errors import ResourceLimitError, ValidationError
 from fgzeta.families import build_two_by_two
-from fgzeta.matrix import (AlgebraMatrix, power_trace_counts, scalar_matrix,
+from fgzeta.matrix import (AlgebraMatrix, power_trace_counts,
                            trace_count_by_paths, trace_counts)
 from fgzeta.words import GeneratorTable, free_reduce
 
@@ -140,19 +140,19 @@ class TestPathOracle:
 class TestScalarMatrix:
     def test_unit_scalar(self):
         m = build_two_by_two()
-        assert scalar_matrix(1, m) == m
+        assert m.scale(1) == m
 
     def test_counts_scale_by_powers(self, rng):
         for factor in (-1, 2, 3):
             m = random_matrix(rng, dim=2)
             base = trace_counts(m, 5)
-            scaled = trace_counts(scalar_matrix(factor, m), 5)
+            scaled = trace_counts(m.scale(factor), 5)
             assert scaled == [factor ** n * c
                               for n, c in enumerate(base, start=1)]
 
     def test_zero_scalar(self):
         m = build_two_by_two()
-        assert trace_counts(scalar_matrix(0, m), 4) == [0, 0, 0, 0]
+        assert trace_counts(m.scale(0), 4) == [0, 0, 0, 0]
 
 
 class TestCyclicTrace:

@@ -112,9 +112,9 @@ class TestSystem:
         m = AlgebraMatrix([[AlgebraElement({(1, -2, 1): 1, (): 2})]], table)
         system = FirstPassageSystem(m)
         assert system.size == 3
-        assert system.steps[0] == ((1, 1, 1, 1), (0, 2, 1, 0))
-        assert system.steps[1] == ((-2, 1, 0, 2),)
-        assert system.steps[2] == ((1, 1, 0, 0),)
+        assert system.steps[0] == {1: [(1, 1, 1)], 0: [(2, 1, 0)]}
+        assert system.steps[1] == {-2: [(1, 0, 2)]}
+        assert system.steps[2] == {1: [(1, 0, 0)]}
         assert system.solve_order == (0, 2, 1)
         assert system.unknowns == ()
         assert trace_counts(m, 5) == [2, 4, 8, 16, 32]
