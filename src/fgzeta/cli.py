@@ -186,6 +186,8 @@ def _target_series(args):
 
 
 def cmd_guess(args) -> int:
+    if args.order is None:
+        args.order = required_order(args.deg_t, args.deg_y)
     f = _target_series(args)
     p = guess_annihilator(f, args.deg_t, args.deg_y)
     _emit("none" if p is None else format_bivariate(p))
@@ -284,8 +286,6 @@ def main(argv=None) -> int:
             value = getattr(args, name, None)
             if value is not None and value < 1:
                 raise ValidationError(f"{name} must be positive")
-        if args.command == "guess" and args.order is None:
-            args.order = required_order(args.deg_t, args.deg_y)
         return handlers[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -286,7 +286,7 @@ class TestLyndonFactorCounts:
         for n in range(1, length + 1):
             expected = sum(moebius(n // l) * counts[l - 1]
                            for l in range(1, n + 1) if n % l == 0)
-            assert sum(1 for length, _ in chains if length == n) * n == expected
+            assert sum(1 for k, _ in chains if k == n) * n == expected
 
     def test_two_by_two_total(self):
         chains = _closed_chains(build_two_by_two(), 12, DEFAULT_NODE_BOUND, True)
