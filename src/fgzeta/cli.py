@@ -137,8 +137,13 @@ def _emit(text: str):
 
 
 def _counts(args):
-    return trace_counts(_load_matrix(args), args.order,
-                        max_terms=args.max_terms)
+    m = _load_matrix(args)
+    try:
+        return trace_counts(m, args.order, max_terms=args.max_terms)
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(
+            f"the count engine runs to order {args.order} (--order): "
+            f"{exc}") from None
 
 
 def cmd_an(args) -> int:

@@ -15,12 +15,13 @@ from typing import NamedTuple
 from .errors import ResourceLimitError, ValidationError
 from .matrix import AlgebraMatrix
 from .series import TruncatedSeries
-from .words import Word, concat, word_sort_key
+from .words import Word, concat, invert, word_sort_key
 
-DEFAULT_NODE_BOUND = 20_000_000
+DEFAULT_EDGE_BOUND = 20_000_000
 
-# Longest chain the closed-chain walk takes: it recurses once per letter,
-# so this stays well under the interpreter's recursion limit (1000).
+# Longest chain the closed-chain walk takes: it recurses once per letter
+# but the last, so this stays well under the interpreter's recursion
+# limit (1000).
 MAX_CHAIN_LENGTH = 500
 
 
@@ -82,9 +83,10 @@ def cycle_weight(m: AlgebraMatrix, letters) -> int:
     return weight
 
 
-def _closed_chains(m: AlgebraMatrix, max_length: int, node_bound: int,
-                   lyndon: bool) -> list[tuple[int, int]]:
-    """(length, weight) of each closed letter chain of length 1..max_length.
+def _closed_chains(m: AlgebraMatrix, max_length: int, edge_bound: int,
+                   lyndon: bool, emit) -> None:
+    """Call ``emit(length, weight)`` for each closed letter chain of length
+    1..max_length, keeping none of them.
 
     A chain is a sequence of indices into ``alphabet_of(m)``; it is closed
     when each letter's column is the next letter's row, the last letter's
@@ -93,11 +95,15 @@ def _closed_chains(m: AlgebraMatrix, max_length: int, node_bound: int,
     one depth-first walk of the transition graph from each row finds them
     all; the running group product prunes branches that can no longer
     cancel to the identity within max_length letters.  With ``lyndon``,
-    only Lyndon chains are kept, and branches that cannot be a prefix of
-    one are pruned: every prefix of a Lyndon word is a prenecklace, and a
-    prenecklace with period ``p`` extends by a letter ``x`` exactly when
-    ``x >= chain[-p]`` (Fredricksen-Kessler-Maiorana).  A max_length over
-    MAX_CHAIN_LENGTH is refused before the walk.
+    only Lyndon chains are emitted, and branches that cannot be a prefix
+    of one are pruned: every prefix of a Lyndon word is a prenecklace, and
+    a prenecklace with period ``p`` extends by a letter ``x`` exactly when
+    ``x >= chain[-p]`` (Fredricksen-Kessler-Maiorana), and the extension
+    is Lyndon when ``x > chain[-p]``.  The last letter opens no frame: a
+    node at depth max_length - 1 emits the letters of its row that close
+    the chain.  Every node adds the letters its row scans to a count of
+    edges, and the walk stops past ``edge_bound`` of them.  A max_length
+    over MAX_CHAIN_LENGTH is refused before the walk.
     """
     if max_length > MAX_CHAIN_LENGTH:
         raise ResourceLimitError(
@@ -106,56 +112,81 @@ def _closed_chains(m: AlgebraMatrix, max_length: int, node_bound: int,
             "lower the length")
     alphabet = alphabet_of(m)
     l_max = max((len(a.word) for a in alphabet), default=0)
-    by_row: dict[int, list[tuple[int, int, Word, int]]] = {}
+    # Per row: (index, column, word, word length, coefficient, inverse of
+    # the word's first letter).  No letter is 0, so 0 marks the identity.
+    by_row: dict[int, list[tuple[int, int, Word, int, int, int]]] = {}
     for idx, letter in enumerate(alphabet):
-        c = m.entries[letter.row - 1][letter.col - 1].terms[letter.word]
-        by_row.setdefault(letter.row, []).append((idx, letter.col, letter.word, c))
-    visited = 0
-    chains: list[tuple[int, int]] = []
+        word = letter.word
+        c = m.entries[letter.row - 1][letter.col - 1].terms[word]
+        by_row.setdefault(letter.row, []).append(
+            (idx, letter.col, word, len(word), c, -word[0] if word else 0))
+    last = max_length - 1
+    edges = 0
     chain: list[int] = []
 
     def extend(start_row: int, row: int, product: Word, coeff: int,
-               period: int):
-        nonlocal visited
-        visited += 1
-        if visited > node_bound:
+               depth: int, period: int):
+        nonlocal edges
+        letters = by_row.get(row, ())
+        edges += len(letters)
+        if edges > edge_bound:
             raise ResourceLimitError(
                 f"length {max_length} (--length) exceeds the enumeration "
-                f"bound of {node_bound} closed-chain nodes; lower the length")
-        depth = len(chain)
+                f"bound of {edge_bound} closed-chain edges; lower the length")
         if depth and row == start_row and not product and (
                 not lyndon or period == depth):
-            chains.append((depth, coeff))
-        if depth == max_length:
+            emit(depth, coeff)
+        back = chain[depth - period] if lyndon and depth else -1
+        if depth == last:
+            closing = invert(product)
+            for idx, col, word, _, c, _ in letters:
+                if col == start_row and word == closing and idx > back:
+                    emit(max_length, coeff * c)
             return
-        budget = (max_length - depth - 1) * l_max
-        for idx, col, word, c in by_row.get(row, ()):
-            next_period = depth + 1
-            if lyndon and depth:
-                back = chain[depth - period]
-                if idx < back:
-                    continue
-                if idx == back:
-                    next_period = period
-            next_product = concat(product, word)
-            if len(next_product) > budget:
+        budget = (last - depth) * l_max
+        room = budget - len(product)
+        tail = product[-1] if product else 0
+        for idx, col, word, length, c, first_inverse in letters:
+            if idx > back:
+                next_period = depth + 1
+            elif idx == back:
+                next_period = period
+            else:
                 continue
+            # The join cancels only where the product's last letter meets
+            # the inverse of the word's first; elsewhere it concatenates.
+            if tail == first_inverse:
+                next_product = (product[:-1] if length == 1
+                                else concat(product, word))
+                if len(next_product) > budget:
+                    continue
+            elif length > room:
+                continue
+            else:
+                next_product = product + word
             chain.append(idx)
-            extend(start_row, col, next_product, coeff * c, next_period)
+            extend(start_row, col, next_product, coeff * c, depth + 1,
+                   next_period)
             chain.pop()
 
     for start_row in range(1, m.dim + 1):
-        extend(start_row, start_row, (), 1, 0)
-    return chains
+        extend(start_row, start_row, (), 1, 0, 0)
 
 
 def cycle_weight_sum(m: AlgebraMatrix, length: int,
-                     node_bound: int = DEFAULT_NODE_BOUND) -> int:
+                     edge_bound: int = DEFAULT_EDGE_BOUND) -> int:
     """Total weight over all letter sequences of the given length."""
     if length < 1:
         raise ValidationError("length must be >= 1")
-    chains = _closed_chains(m, length, node_bound, False)
-    return sum(coeff for n, coeff in chains if n == length)
+    total = 0
+
+    def emit(n, weight):
+        nonlocal total
+        if n == length:
+            total += weight
+
+    _closed_chains(m, length, edge_bound, False, emit)
+    return total
 
 
 def lyndon_words(alphabet, max_length: int) -> list[tuple]:
@@ -187,7 +218,7 @@ def lyndon_words(alphabet, max_length: int) -> list[tuple]:
 
 
 def euler_product(m: AlgebraMatrix, max_length: int,
-                  node_bound: int = DEFAULT_NODE_BOUND) -> TruncatedSeries:
+                  edge_bound: int = DEFAULT_EDGE_BOUND) -> TruncatedSeries:
     """Product of 1/(1 - weight(l) t^|l|) over Lyndon words l, |l| <= L.
 
     Letters that do not chain have weight zero and contribute a factor 1,
@@ -195,19 +226,23 @@ def euler_product(m: AlgebraMatrix, max_length: int,
     so each factor is one integer update of the coefficient list:
     multiplying by 1/(1 - w t^l) = 1 + w t^l + w^2 t^2l + ... sends
     out[k] to out[k] + w * out[k - l], in increasing k.  These exact
-    updates commute, so factors apply in the order the walk finds them.
+    updates commute, so each factor applies as the walk finds it, and
+    memory does not grow with the number of chains.
     """
     if max_length < 1:
         raise ValidationError("max_length must be >= 1")
     out = [1] + [0] * max_length
-    for length, weight in _closed_chains(m, max_length, node_bound, True):
+
+    def emit(length, weight):
         for k in range(length, max_length + 1):
             out[k] += weight * out[k - length]
+
+    _closed_chains(m, max_length, edge_bound, True, emit)
     return TruncatedSeries(out, max_length)
 
 
 __all__ = [
-    "DEFAULT_NODE_BOUND",
+    "DEFAULT_EDGE_BOUND",
     "Letter",
     "MAX_CHAIN_LENGTH",
     "alphabet_of",

@@ -100,7 +100,7 @@ class FirstPassageSystem:
         work = self.work_estimate(count)
         if work > WORK_LIMIT:
             raise ResourceLimitError(
-                f"order {count} (--order) has an estimated cost of "
+                f"order {count} has an estimated cost of "
                 f"{work:.1e} for {self.size} states and "
                 f"{len(self.unknowns)} unknowns, over the work limit "
                 f"{WORK_LIMIT:.0e}; lower the order")

@@ -9,7 +9,7 @@ import fgzeta.cli
 import fgzeta.passage
 from fgzeta.cli import (MAX_DIMENSION, check_builtin_size,
                         format_matrix_document, main, parse_matrix_document)
-from fgzeta.cyclic import MAX_CHAIN_LENGTH
+from fgzeta.cyclic import DEFAULT_EDGE_BOUND, MAX_CHAIN_LENGTH
 from fgzeta.errors import ParseError, ResourceLimitError
 from fgzeta.guess import MAX_POWER_WORK, required_order
 from fgzeta.families import build_kontsevich, build_two_by_two
@@ -246,6 +246,39 @@ class TestExitCodes:
         assert err.startswith("resource limit: the verdict runs the count "
                               "engine to order 4 (--length): ")
         assert "over the work limit 1e+00" in err
+
+    def test_euler_work_limit_names_only_the_length(self, capsys,
+                                                    monkeypatch):
+        monkeypatch.setattr(fgzeta.passage, "WORK_LIMIT", 1)
+        code, out, err = run(capsys, "euler", "--builtin", "kontsevich:1",
+                             "--length", "4")
+        assert (code, out) == (3, "")
+        assert "(--length)" in err
+        assert "--order" not in err
+
+    def test_an_work_limit_names_the_order(self, capsys, monkeypatch):
+        monkeypatch.setattr(fgzeta.passage, "WORK_LIMIT", 1)
+        code, out, err = run(capsys, "an", "--builtin", "kontsevich:1",
+                             "--order", "4")
+        assert (code, out) == (3, "")
+        assert err.startswith("resource limit: the count engine runs to "
+                              "order 4 (--order): order 4 has an estimated "
+                              "cost of ")
+        assert "over the work limit 1e+00" in err
+
+    def test_euler_edge_bound_trips_on_many_letters(self):
+        # 400 letters per node: the default length once ran for minutes
+        env = dict(os.environ,
+                   PYTHONPATH=str(Path(fgzeta.__file__).resolve().parent.parent))
+        result = subprocess.run(
+            [sys.executable, "-m", "fgzeta", "euler", "--builtin",
+             "kontsevich:200"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 3
+        assert result.stdout == ""
+        assert result.stderr.startswith(
+            "resource limit: length 6 (--length) exceeds the enumeration "
+            f"bound of {DEFAULT_EDGE_BOUND} closed-chain edges;")
 
     def test_length_past_the_chain_walk_is_refused(self):
         # the recursive walk ended in a RecursionError traceback

@@ -1,12 +1,13 @@
+import tracemalloc
 from itertools import product
 
 import pytest
 
-from fgzeta.cyclic import (DEFAULT_NODE_BOUND, MAX_CHAIN_LENGTH, Letter,
+from fgzeta.cyclic import (DEFAULT_EDGE_BOUND, MAX_CHAIN_LENGTH, Letter,
                            _closed_chains, alphabet_of, cycle_weight,
                            cycle_weight_sum, euler_product, lyndon_words)
 from fgzeta.errors import ResourceLimitError, ValidationError
-from fgzeta.families import build_two_by_two, builtin_matrix
+from fgzeta.families import build_kontsevich, build_two_by_two, builtin_matrix
 from fgzeta.matrix import AlgebraMatrix, trace_counts
 from fgzeta.series import TruncatedSeries, zeta_series
 from fgzeta.algebra import parse_element
@@ -18,6 +19,14 @@ from conftest import random_matrix
 def kontsevich_1x1():
     table = GeneratorTable(["x"])
     return AlgebraMatrix([[parse_element("x + x^-1", table)]], table)
+
+
+def closed_chains(m, max_length, lyndon):
+    """The (length, weight) pairs the walk emits, in walk order."""
+    chains = []
+    _closed_chains(m, max_length, DEFAULT_EDGE_BOUND, lyndon,
+                   lambda n, weight: chains.append((n, weight)))
+    return chains
 
 
 def brute_force_lyndon_count(q, m):
@@ -147,7 +156,7 @@ class TestWeightSums:
         with pytest.raises(ValidationError):
             cycle_weight_sum(kontsevich_1x1(), 0)
         with pytest.raises(ResourceLimitError):
-            cycle_weight_sum(build_two_by_two(), 6, node_bound=10)
+            cycle_weight_sum(build_two_by_two(), 6, edge_bound=10)
 
 
 class TestLyndonWords:
@@ -223,13 +232,14 @@ class TestEulerProduct:
 
     def test_guard(self):
         with pytest.raises(ResourceLimitError):
-            euler_product(build_two_by_two(), 6, node_bound=10)
+            euler_product(build_two_by_two(), 6, edge_bound=10)
 
     def test_guard_names_the_length_flag(self):
         with pytest.raises(ResourceLimitError,
                            match=r"^length 6 \(--length\) exceeds the "
-                                 "enumeration bound of 10 "):
-            euler_product(build_two_by_two(), 6, node_bound=10)
+                                 "enumeration bound of 10 closed-chain "
+                                 "edges;"):
+            euler_product(build_two_by_two(), 6, edge_bound=10)
 
     def test_matches_rational_division_over_all_lyndon_words(self, rng):
         # oracle: Duval's Lyndon words and cycle_weight, not the pruned
@@ -256,11 +266,11 @@ class TestChainLengthLimit:
     @pytest.mark.parametrize("walk", [euler_product, cycle_weight_sum])
     def test_refused_before_the_walk(self, walk):
         length = MAX_CHAIN_LENGTH + 1
-        # node_bound=0 would trip at the walk's first node
+        # edge_bound=0 would trip at the walk's first node
         with pytest.raises(ResourceLimitError,
                            match=rf"^length {length} \(--length\) .* "
                                  rf"MAX_CHAIN_LENGTH = {MAX_CHAIN_LENGTH};"):
-            walk(kontsevich_1x1(), length, node_bound=0)
+            walk(kontsevich_1x1(), length, edge_bound=0)
 
     def test_limit_is_reachable(self):
         # one identity letter: the walk descends to the full length
@@ -280,7 +290,7 @@ class TestLyndonFactorCounts:
         ("paperdxd:3", 8)])
     def test_counts_from_trace_counts(self, name, length):
         m = builtin_matrix(name)
-        chains = _closed_chains(m, length, DEFAULT_NODE_BOUND, True)
+        chains = closed_chains(m, length, True)
         assert all(weight == 1 for _, weight in chains)
         counts = trace_counts(m, length)
         for n in range(1, length + 1):
@@ -289,5 +299,53 @@ class TestLyndonFactorCounts:
             assert sum(1 for k, _ in chains if k == n) * n == expected
 
     def test_two_by_two_total(self):
-        chains = _closed_chains(build_two_by_two(), 12, DEFAULT_NODE_BOUND, True)
-        assert len(chains) == 4831
+        assert len(closed_chains(build_two_by_two(), 12, True)) == 4831
+
+
+class TestStreamingWalk:
+    """The walk hands each closed chain to its caller and keeps none."""
+
+    def test_identity_letters_and_three_letter_words(self, rng):
+        # identity-word letters close a chain at depth 0 when L = 1, and
+        # three-letter words cancel across more than one letter
+        checked = 0
+        while checked < 12:
+            m = random_matrix(rng, dim=rng.randint(1, 2), max_len=3)
+            alphabet = alphabet_of(m)
+            if len(alphabet) > 6 or all(a.word or a.row != a.col
+                                        for a in alphabet):
+                continue
+            checked += 1
+            # oracle: one exact series division per nonzero Lyndon factor
+            oracle = TruncatedSeries.one(6)
+            for word in lyndon_words(alphabet, 6):
+                weight = cycle_weight(m, word)
+                if weight:
+                    oracle = oracle / (TruncatedSeries.one(6)
+                                       - TruncatedSeries.monomial(weight, len(word), 6))
+            counts = trace_counts(m, 6)
+            for length in range(1, 7):
+                assert euler_product(m, length).coeffs == oracle.coeffs[:length + 1]
+                assert cycle_weight_sum(m, length) == counts[length - 1]
+
+    def test_memory_does_not_grow_with_the_chains(self):
+        # 4831 closed Lyndon chains; collected, their tuples took 306 KiB.
+        # A first call fills the interpreter's tuple free lists, which
+        # tracemalloc counts as allocated.
+        m = build_two_by_two()
+        euler_product(m, 12)
+        tracemalloc.start()
+        try:
+            euler_product(m, 12)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_bound_counts_edges(self):
+        # 401 nodes, but each scans all 400 letters of the one row
+        with pytest.raises(ResourceLimitError,
+                           match=r"^length 2 \(--length\) exceeds the "
+                                 "enumeration bound of 1000 closed-chain "
+                                 "edges;"):
+            euler_product(build_kontsevich(200), 2, edge_bound=1000)
