@@ -21,10 +21,10 @@ def kontsevich_1x1():
     return AlgebraMatrix([[parse_element("x + x^-1", table)]], table)
 
 
-def closed_chains(m, max_length, lyndon):
-    """The (length, weight) pairs the walk emits, in walk order."""
+def lyndon_chains(m, max_length):
+    """The (length, weight) of each Lyndon chain the walk emits."""
     chains = []
-    _closed_chains(m, max_length, DEFAULT_EDGE_BOUND, lyndon,
+    _closed_chains(m, max_length, DEFAULT_EDGE_BOUND, True,
                    lambda n, weight: chains.append((n, weight)))
     return chains
 
@@ -290,7 +290,7 @@ class TestLyndonFactorCounts:
         ("paperdxd:3", 8)])
     def test_counts_from_trace_counts(self, name, length):
         m = builtin_matrix(name)
-        chains = closed_chains(m, length, True)
+        chains = lyndon_chains(m, length)
         assert all(weight == 1 for _, weight in chains)
         counts = trace_counts(m, length)
         for n in range(1, length + 1):
@@ -299,7 +299,7 @@ class TestLyndonFactorCounts:
             assert sum(1 for k, _ in chains if k == n) * n == expected
 
     def test_two_by_two_total(self):
-        assert len(closed_chains(build_two_by_two(), 12, True)) == 4831
+        assert len(lyndon_chains(build_two_by_two(), 12)) == 4831
 
 
 class TestStreamingWalk:
