@@ -267,7 +267,8 @@ class TestExitCodes:
         assert "over the work limit 1e+00" in err
 
     def test_euler_edge_bound_trips_on_many_letters(self):
-        # 400 letters per node: the default length once ran for minutes
+        # 400 letters per node: a bound on nodes alone lets the default
+        # length run for minutes
         env = dict(os.environ,
                    PYTHONPATH=str(Path(fgzeta.__file__).resolve().parent.parent))
         result = subprocess.run(

@@ -329,7 +329,8 @@ class TestStreamingWalk:
                 assert cycle_weight_sum(m, length) == counts[length - 1]
 
     def test_memory_does_not_grow_with_the_chains(self):
-        # 4831 closed Lyndon chains; collected, their tuples took 306 KiB.
+        # 4831 closed Lyndon chains; kept as tuples they would take about
+        # 300 KiB.
         # A first call fills the interpreter's tuple free lists, which
         # tracemalloc counts as allocated.
         m = build_two_by_two()
