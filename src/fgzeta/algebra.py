@@ -8,8 +8,8 @@ grow exponentially even when the final counts stay small.
 
 from . import _kernel
 from .errors import ParseError
-from .words import (GeneratorTable, LetterBudget, Word, concat, format_word,
-                    invert, parse_word, word_sort_key)
+from .words import (GeneratorTable, LetterBudget, Word, format_word,
+                    parse_word, word_sort_key)
 
 
 class AlgebraElement:
@@ -72,22 +72,6 @@ class AlgebraElement:
         if k == 0:
             return AlgebraElement()
         return AlgebraElement({w: k * c for w, c in self.terms.items()})
-
-    def trace_pairing(self, other: "AlgebraElement") -> int:
-        """Coefficient of the identity in self*other, without the product.
-
-        Equals sum over g of self(g) * other(g^-1); cheap symmetric form
-        of the full convolution.
-        """
-        small, big = self.terms, other.terms
-        if len(big) < len(small):
-            small, big = big, small
-        total = 0
-        for w, c in small.items():
-            d = big.get(invert(w))
-            if d is not None:
-                total += c * d
-        return total
 
     def __eq__(self, other):
         return isinstance(other, AlgebraElement) and self.terms == other.terms
@@ -154,16 +138,8 @@ def parse_element(text: str, table: GeneratorTable, declare: bool = True,
     return AlgebraElement(out)
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement,
-             max_len: int = -1) -> AlgebraElement:
-    """Product with an optional cap on the reduced length of result words."""
-    return AlgebraElement(_kernel.mul_terms(a.terms, b.terms, max_len))
-
-
 __all__ = [
     "AlgebraElement",
-    "concat",
     "format_element",
-    "multiply",
     "parse_element",
 ]

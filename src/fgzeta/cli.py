@@ -206,6 +206,9 @@ def cmd_verify(args) -> int:
     else:
         poly_text = args.poly
     p = parse_bivariate(poly_text)
+    if p.is_zero():
+        raise ValidationError(
+            "the polynomial is zero, which annihilates every series")
     f = _target_series(args)
     residue = evaluate_at_series(p, f)
     if residue.is_zero():
@@ -343,18 +346,13 @@ def cmd_selfcheck(args) -> int:
         ok &= (a * b) * c == a * (b * c)
         ok &= a * (b + c) == a * b + a * c
         ok &= (a * b).coeff(()) == (b * a).coeff(())
-        ok &= (a * b).coeff(()) == a.trace_pairing(b)
     check("group algebra ring laws and trace symmetry", ok)
 
     ok = True
-    agree = True
     for _ in range(6):
         m = random_matrix(rng)
-        pruned = power_trace_counts(m, 5, prune=True)
-        ok &= pruned == power_trace_counts(m, 5, prune=False)
-        agree &= trace_counts(m, 5) == pruned
-    check("pruned counts match unpruned counts", ok)
-    check("first-passage counts match the power pipeline", agree)
+        ok &= trace_counts(m, 5) == power_trace_counts(m, 5)
+    check("first-passage counts match the power pipeline", ok)
 
     ok = True
     for _ in range(6):

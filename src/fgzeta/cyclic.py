@@ -6,8 +6,10 @@ indices chain into a closed cycle and the group product of the words
 reduces to the identity, otherwise the product of the entry coefficients.
 These weights form a cyclic series, so its zeta function factors as an
 Euler product over one representative per conjugacy class of primitive
-letter words; we pick Lyndon words (lexicographically minimal rotations)
-because Duval's algorithm generates them in order at linear cost.
+letter words.  We pick Lyndon words (lexicographically minimal
+rotations): the closed-chain walk generates them by the prenecklace
+rule, and :func:`lyndon_words` generates them by Duval's algorithm as
+the tests' oracle.
 """
 
 from typing import NamedTuple
@@ -84,8 +86,8 @@ def cycle_weight(m: AlgebraMatrix, letters) -> int:
 
 
 def _closed_chains(m: AlgebraMatrix, max_length: int, edge_bound: int,
-                   lyndon: bool, emit) -> None:
-    """Call ``emit(length, weight)`` for each closed letter chain of length
+                   emit) -> None:
+    """Call ``emit(length, weight)`` for each closed Lyndon chain of length
     1..max_length, keeping none of them.
 
     A chain is a sequence of indices into ``alphabet_of(m)``; it is closed
@@ -94,16 +96,16 @@ def _closed_chains(m: AlgebraMatrix, max_length: int, edge_bound: int,
     is the identity.  Only index-chained sequences can weigh anything, so
     one depth-first walk of the transition graph from each row finds them
     all; the running group product prunes branches that can no longer
-    cancel to the identity within max_length letters.  With ``lyndon``,
-    only Lyndon chains are emitted, and branches that cannot be a prefix
-    of one are pruned: every prefix of a Lyndon word is a prenecklace, and
-    a prenecklace with period ``p`` extends by a letter ``x`` exactly when
-    ``x >= chain[-p]`` (Fredricksen-Kessler-Maiorana), and the extension
-    is Lyndon when ``x > chain[-p]``.  The last letter opens no frame: a
-    node at depth max_length - 1 emits the letters of its row that close
-    the chain.  Every node adds the letters its row scans to a count of
-    edges, and the walk stops past ``edge_bound`` of them.  A max_length
-    over MAX_CHAIN_LENGTH is refused before the walk.
+    cancel to the identity within max_length letters.  Branches that
+    cannot be a prefix of a Lyndon chain are pruned too: every prefix of
+    a Lyndon word is a prenecklace, and a prenecklace with period ``p``
+    extends by a letter ``x`` exactly when ``x >= chain[-p]``
+    (Fredricksen-Kessler-Maiorana), and the extension is Lyndon when
+    ``x > chain[-p]``.  The last letter opens no frame: a node at depth
+    max_length - 1 emits the letters of its row that close the chain.
+    Every node adds the letters its row scans to a count of edges, and
+    the walk stops past ``edge_bound`` of them.  A max_length over
+    MAX_CHAIN_LENGTH is refused before the walk.
     """
     if max_length > MAX_CHAIN_LENGTH:
         raise ResourceLimitError(
@@ -133,10 +135,9 @@ def _closed_chains(m: AlgebraMatrix, max_length: int, edge_bound: int,
             raise ResourceLimitError(
                 f"length {max_length} (--length) exceeds the enumeration "
                 f"bound of {edge_bound} closed-chain edges; lower the length")
-        if depth and row == start_row and not product and (
-                not lyndon or period == depth):
+        if depth and row == start_row and not product and period == depth:
             emit(depth, coeff)
-        back = chain[depth - period] if lyndon and depth else -1
+        back = chain[depth - period] if depth else -1
         if depth == last:
             closing = invert(product)
             for idx, col, word, _, c, _ in letters:
@@ -175,17 +176,26 @@ def _closed_chains(m: AlgebraMatrix, max_length: int, edge_bound: int,
 
 def cycle_weight_sum(m: AlgebraMatrix, length: int,
                      edge_bound: int = DEFAULT_EDGE_BOUND) -> int:
-    """Total weight over all letter sequences of the given length."""
+    """Total weight over all letter sequences of the given length.
+
+    Equals ``sum over d | n of d * sum over closed Lyndon chains l of
+    length d of weight(l)^(n/d)``, with n = ``length``, so only the
+    closed Lyndon chains are walked.  Every sequence of length n is one
+    of the d distinct rotations of l^(n/d) for exactly one Lyndon chain
+    l, of some length d | n.  The weight is cyclic, so the sequence
+    weighs weight(l^(n/d)).  That power closes exactly when l does, since
+    a free group has no torsion, and then weighs weight(l)^(n/d).
+    """
     if length < 1:
         raise ValidationError("length must be >= 1")
     total = 0
 
-    def emit(n, weight):
+    def emit(d, weight):
         nonlocal total
-        if n == length:
-            total += weight
+        if length % d == 0:
+            total += d * weight ** (length // d)
 
-    _closed_chains(m, length, edge_bound, False, emit)
+    _closed_chains(m, length, edge_bound, emit)
     return total
 
 
@@ -237,7 +247,7 @@ def euler_product(m: AlgebraMatrix, max_length: int,
         for k in range(length, max_length + 1):
             out[k] += weight * out[k - length]
 
-    _closed_chains(m, max_length, edge_bound, True, emit)
+    _closed_chains(m, max_length, edge_bound, emit)
     return TruncatedSeries(out, max_length)
 
 

@@ -6,11 +6,11 @@ for n = 1..N.  :func:`trace_counts` solves the first-passage system of
 it: :func:`power_trace_counts` multiplies out the powers, and
 :func:`trace_count_by_paths` enumerates closed paths.
 
-The power pipeline relies on a length bound: a term of M^k whose reduced
+The power oracle prunes by a length bound: a term of M^k whose reduced
 word is longer than (N - k) * l_max can never cancel down to the
 identity within the remaining N - k factors, where l_max is the longest
-word in M's support, so it is safe to drop.  Pruned and unpruned runs
-return identical counts.
+word in M's support, so it is safe to drop.  The path oracle prunes
+nothing, and the tests check the two against each other.
 """
 
 from . import _kernel
@@ -151,25 +151,23 @@ def trace_counts(m: AlgebraMatrix, count: int,
     return FirstPassageSystem(m).trace_counts(count, max_terms)
 
 
-def power_trace_counts(m: AlgebraMatrix, count: int, prune: bool = True,
+def power_trace_counts(m: AlgebraMatrix, count: int,
                        max_terms: int = DEFAULT_TERM_LIMIT) -> list[int]:
     """Oracle for :func:`trace_counts` by iterated matrix powers.
 
-    With ``prune`` the length bound described in the module docstring is
-    applied after each power; results are identical either way.  The term
-    ceiling turns runaway growth into a ResourceLimitError naming the
-    offending power.
+    The length bound described in the module docstring is applied to
+    each product M^(k-1) * M; M itself needs none, since its own words
+    are no longer than (N - 1) * l_max, or N = 1 and only its identity
+    coefficient is read.  The term ceiling turns runaway growth into a
+    ResourceLimitError naming the offending power.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
     l_max = m.max_word_length()
     power = m
-    if prune:
-        power = _pruned(power, (count - 1) * l_max)
     counts = [power.trace_identity()]
     for k in range(2, count + 1):
-        bound = (count - k) * l_max if prune else -1
-        power = power.multiply(m, bound)
+        power = power.multiply(m, (count - k) * l_max)
         if power.term_count() > max_terms:
             raise ResourceLimitError(
                 f"term ceiling {max_terms} exceeded at power {k} "
@@ -177,12 +175,6 @@ def power_trace_counts(m: AlgebraMatrix, count: int, prune: bool = True,
                 "lower the order")
         counts.append(power.trace_identity())
     return counts
-
-
-def _pruned(m: AlgebraMatrix, bound: int) -> AlgebraMatrix:
-    rows = [[AlgebraElement({w: c for w, c in e.terms.items() if len(w) <= bound})
-             for e in row] for row in m.entries]
-    return AlgebraMatrix(rows, m.table)
 
 
 def trace_count_by_paths(m: AlgebraMatrix, n: int,

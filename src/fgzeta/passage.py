@@ -202,7 +202,7 @@ class FirstPassageSystem:
             if stored > max_terms:
                 raise ResourceLimitError(
                     f"term ceiling {max_terms} exceeded at power {n} "
-                    f"({stored} stored series terms); raise the ceiling or "
+                    f"({stored} stored series terms); raise --max-terms or "
                     "lower the order")
         return counts
 

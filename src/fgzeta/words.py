@@ -56,9 +56,6 @@ class GeneratorTable:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._name_to_id
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(self._names)

@@ -232,6 +232,7 @@ class TestExitCodes:
                            "--order", "10", "--max-terms", "4")
         assert code == 3
         assert "resource limit" in err
+        assert err.endswith("; raise --max-terms or lower the order\n")
 
     def test_euler_guards_name_the_length(self, capsys, monkeypatch):
         code, out, err = run(capsys, "euler", "--builtin", "kontsevich:1",
@@ -394,6 +395,16 @@ class TestExitCodes:
         assert out == ""
         assert "too long" in err
 
+    @pytest.mark.parametrize("poly", ["0", "1 * t^0 * y^0 + -1 * t^0 * y^0"])
+    def test_zero_polynomial_is_2(self, capsys, poly):
+        # the zero polynomial annihilates every series and certifies nothing
+        code, out, err = run(capsys, "verify", "--builtin", "kontsevich:1",
+                             "--poly", poly)
+        assert code == 2
+        assert out == ""
+        assert err == ("validation error: the polynomial is zero, which "
+                       "annihilates every series\n")
+
     def test_insufficient_guess_order_is_2(self, capsys):
         code, _, err = run(capsys, "guess", "--builtin", "paper2x2",
                            "--order", "5")
@@ -416,18 +427,28 @@ class TestSelfcheck:
     def test_passes(self, capsys):
         code, out, err = run(capsys, "selfcheck")
         assert code == 0, err
-        assert out.splitlines()[-1] == "selfcheck passed"
-        assert all(line.startswith("ok: ")
-                   for line in out.splitlines()[:-1])
+        assert out.splitlines() == [
+            "ok: free group laws",
+            "ok: group algebra ring laws and trace symmetry",
+            "ok: first-passage counts match the power pipeline",
+            "ok: path oracle matches the power pipeline",
+            "ok: cycle weights are cyclic",
+            "ok: weight sums match trace counts",
+            "ok: euler product matches the exp pipeline",
+            "ok: series exp/log/sqrt round trips",
+            "ok: zeta series of integer matrices are integral",
+            "selfcheck passed",
+        ]
 
 
 class TestStartup:
-    def test_cli_import_skips_dataclasses(self):
+    @pytest.mark.parametrize("module", ["dataclasses", "fgzeta.grammars"])
+    def test_cli_import_skips(self, module):
         import fgzeta
         env = dict(os.environ,
                    PYTHONPATH=str(Path(fgzeta.__file__).resolve().parent.parent))
         result = subprocess.run(
             [sys.executable, "-c",
-             "import sys, fgzeta.cli; print('dataclasses' in sys.modules)"],
+             f"import sys, fgzeta.cli; print({module!r} in sys.modules)"],
             capture_output=True, text=True, env=env, check=True)
         assert result.stdout == "False\n"

@@ -8,7 +8,7 @@ from fgzeta.cyclic import (DEFAULT_EDGE_BOUND, MAX_CHAIN_LENGTH, Letter,
                            cycle_weight_sum, euler_product, lyndon_words)
 from fgzeta.errors import ResourceLimitError, ValidationError
 from fgzeta.families import build_kontsevich, build_two_by_two, builtin_matrix
-from fgzeta.matrix import AlgebraMatrix, trace_counts
+from fgzeta.matrix import AlgebraMatrix, trace_count_by_paths, trace_counts
 from fgzeta.series import TruncatedSeries, zeta_series
 from fgzeta.algebra import parse_element
 from fgzeta.words import GeneratorTable
@@ -24,7 +24,7 @@ def kontsevich_1x1():
 def lyndon_chains(m, max_length):
     """The (length, weight) of each Lyndon chain the walk emits."""
     chains = []
-    _closed_chains(m, max_length, DEFAULT_EDGE_BOUND, True,
+    _closed_chains(m, max_length, DEFAULT_EDGE_BOUND,
                    lambda n, weight: chains.append((n, weight)))
     return chains
 
@@ -151,6 +151,16 @@ class TestWeightSums:
             counts = trace_counts(m, 5)
             for n in range(1, 6):
                 assert cycle_weight_sum(m, n) == counts[n - 1]
+
+    def test_negative_weight_by_hand(self):
+        # [x - x^-1]: the C(n, n/2) closed sequences each weigh
+        # (-1)^(n/2).  At n = 6 the Lyndon chain x x^-1 (weight -1) enters
+        # as its two rotations of (x x^-1)^3, 2 * (-1)^3.
+        table = GeneratorTable(["x"])
+        m = AlgebraMatrix([[parse_element("x + -1*x^-1", table)]], table)
+        for n, expected in [(2, -2), (4, 6), (6, -20)]:
+            assert cycle_weight_sum(m, n) == expected
+            assert trace_count_by_paths(m, n) == expected
 
     def test_guards(self):
         with pytest.raises(ValidationError):

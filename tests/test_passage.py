@@ -154,8 +154,8 @@ class TestGuards:
         assert len(trace_counts(m, order, max_terms=smallest)) == order
         with pytest.raises(ResourceLimitError,
                            match=f"^term ceiling {smallest - 1} exceeded at power "
-                                 r"\d+ \(\d+ stored series terms\); raise the "
-                                 "ceiling or lower the order$"):
+                                 r"\d+ \(\d+ stored series terms\); raise "
+                                 "--max-terms or lower the order$"):
             trace_counts(m, order, max_terms=smallest - 1)
 
     def test_term_ceiling_is_checked_per_degree(self):
